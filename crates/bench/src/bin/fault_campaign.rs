@@ -35,61 +35,62 @@ use gca_graphs::{generators, AdjacencyMatrix, Labeling};
 use gca_hirschberg::complexity::total_generations;
 use gca_hirschberg::supervise::rung_name;
 use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, Machine, SupervisedMachine};
+
+/// Every fault class the campaign must find detectable on some path.
+const CLASSES: [FaultKind; 6] = [
+    FaultKind::BitFlip { bit: 0 },
+    FaultKind::TornWrite,
+    FaultKind::DroppedGeneration,
+    FaultKind::CorruptHistogramMerge,
+    FaultKind::StaleOccupancy,
+    FaultKind::DuplicatedChunkRow,
+];
 use serde_json::json;
 
-/// One execution-path rung of the campaign grid.
+/// One execution-path row of the campaign grid.
 struct PathRow {
+    /// Row name in the report (the rung name, plus the worker count of a
+    /// partitioned row).
+    name: &'static str,
     exec: ExecPath,
-    /// Ladder level (0 = generic … 3 = fused-swar), mirrored from
-    /// `Machine::exec_level` for sticky-fault binding.
-    level: u8,
 }
 
 fn grid_paths() -> Vec<PathRow> {
     vec![
-        PathRow { exec: ExecPath::Generic, level: 0 },
-        PathRow { exec: ExecPath::Fused, level: 1 },
+        PathRow { name: "generic", exec: ExecPath::Generic },
+        PathRow { name: "fused", exec: ExecPath::Fused },
         PathRow {
-            // threshold 0 forces row partitioning even at campaign sizes.
-            exec: ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }),
-            level: 2,
+            name: "fused-swar-w3",
+            exec: ExecPath::FusedSwar(FusedSwar {
+                parallel: Some(FusedParallel::with_workers(3)),
+            }),
         },
-        PathRow { exec: ExecPath::FusedSwar(FusedSwar { parallel: None }), level: 3 },
+        PathRow { name: "fused-swar", exec: ExecPath::fused_swar() },
     ]
 }
 
-/// The fault classes that are meaningful on a given path. The SWAR
-/// occupancy plane exists only on the SWAR rung; the partition-overlap
-/// fault needs at least two workers; the histogram-merge fault lives in
-/// the fused kernels' counting machinery.
-fn classes_for(exec: ExecPath) -> Vec<FaultKind> {
-    let mut classes = vec![
-        FaultKind::BitFlip { bit: 0 },
-        FaultKind::TornWrite,
-        FaultKind::DroppedGeneration,
-    ];
-    match exec {
-        ExecPath::Generic => {}
-        ExecPath::Fused => classes.push(FaultKind::CorruptHistogramMerge),
-        ExecPath::FusedParallel(_) => {
-            classes.push(FaultKind::CorruptHistogramMerge);
-            classes.push(FaultKind::DuplicatedChunkRow);
-        }
-        ExecPath::FusedSwar(_) => {
-            classes.push(FaultKind::CorruptHistogramMerge);
-            classes.push(FaultKind::StaleOccupancy);
-        }
-    }
-    classes
+/// The fault classes the machine can fire on a given path (see
+/// `Machine::fault_inapplicability`): the SWAR occupancy plane exists
+/// only on the SWAR rung, the partition-overlap fault needs a
+/// partitioned row, and the histogram-merge fault lives in the fused
+/// kernels' counting machinery.
+fn classes_for(g: &AdjacencyMatrix, exec: ExecPath) -> Vec<FaultKind> {
+    let machine = validated_machine(g, exec);
+    CLASSES
+        .into_iter()
+        .filter(|&kind| machine.fault_inapplicability(kind).is_none())
+        .collect()
 }
 
+/// A validating machine. The zero parallel threshold makes a partitioned
+/// row split every generation, even at campaign sizes.
 fn validated_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
-    Machine::with_engine(
-        g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .expect("campaign machine")
-    .with_exec(exec)
+    let engine = Engine::sequential()
+        .with_instrumentation(Instrumentation::Validate)
+        .with_min_parallel_cells(0);
+    Machine::with_engine(g, engine)
+        .expect("campaign machine")
+        .with_exec(exec)
 }
 
 /// One supervised run with an optional armed plan; returns the report
@@ -191,7 +192,7 @@ fn run_cell(
     kind: FaultKind,
     budget: usize,
 ) -> RowResult {
-    let path_name = rung_name(path.exec);
+    let path_name = path.name;
     let mut failures = Vec::new();
     let mut found: Option<(u64, usize, &'static str)> = None;
     let mut benign = 0usize;
@@ -297,12 +298,12 @@ fn run_ladder_leg(
     path: &PathRow,
     site: (u64, usize),
 ) -> (Vec<String>, serde_json::Value) {
-    let path_name = rung_name(path.exec);
+    let path_name = path.name;
+    let level = validated_machine(g, path.exec).exec_level();
     let mut failures = Vec::new();
-    let plan =
-        FaultPlan::new(FaultKind::BitFlip { bit: 0 }, site.0, site.1).sticky(path.level);
+    let plan = FaultPlan::new(FaultKind::BitFlip { bit: 0 }, site.0, site.1).sticky(level);
     let (report, labels, _) = supervised_run(g, path.exec, Some(plan), RecoveryPolicy::Degrade);
-    if path.level == 0 {
+    if level == 0 {
         // Expected-exhaustion row: generic has no rung below it.
         if report.completed() {
             failures.push(format!(
@@ -313,7 +314,7 @@ fn run_ladder_leg(
     } else {
         match (&report.outcome, labels) {
             (RecoveryOutcome::Recovered, Some(labels)) => {
-                if report.degradations == 0 || report.final_rung == path_name {
+                if report.degradations == 0 || report.final_rung == rung_name(path.exec) {
                     failures.push(format!(
                         "{path_name}: degrade policy never left the faulty rung ({report})"
                     ));
@@ -329,7 +330,7 @@ fn run_ladder_leg(
     }
     let doc = json!({
         "path": path_name,
-        "leg": if path.level == 0 { "sticky-exhausts" } else { "sticky-degrades" },
+        "leg": if level == 0 { "sticky-exhausts" } else { "sticky-degrades" },
         "initial_rung": report.initial_rung,
         "final_rung": report.final_rung,
         "degradations": report.degradations,
@@ -363,6 +364,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut ladder = Vec::new();
     let mut failures: Vec<String> = Vec::new();
+    let mut covered: Vec<&str> = Vec::new();
     for path in grid_paths() {
         // Clean reference for this path: labels + Counts metrics under the
         // same instrumentation the faulted runs use.
@@ -371,22 +373,22 @@ fn main() {
         assert!(
             matches!(clean_report.outcome, RecoveryOutcome::Clean),
             "clean run failed on {}: {clean_report}",
-            rung_name(path.exec)
+            path.name
         );
         let clean_labels = clean_labels.expect("clean labels");
         assert_eq!(
             clean_labels.as_slice(),
             expected.as_slice(),
             "clean {} run disagrees with union-find",
-            rung_name(path.exec)
+            path.name
         );
         let clean_metrics = clean_machine.metrics().entries().to_vec();
 
         let mut flip_site = None;
-        for kind in classes_for(path.exec) {
+        for kind in classes_for(&g, path.exec) {
             let row = run_cell(&g, &expected, &clean_metrics, &path, kind, budget);
             println!(
-                "  {:<10} {:<10} site={:<14} detector={:<19} searched={:<3} benign={:<3} \
+                "  {:<13} {:<10} site={:<14} detector={:<19} searched={:<3} benign={:<3} \
                  recovered_identical={}",
                 row.path,
                 row.class,
@@ -402,18 +404,25 @@ fn main() {
                 flip_site = row.site;
             }
             failures.extend(row.failures.iter().cloned());
+            covered.push(row.class);
             rows.push(row.doc);
         }
         // Ladder leg at the bit-flip site found on this rung.
         if let Some(site) = flip_site {
             let (lf, doc) = run_ladder_leg(&g, &expected, &path, site);
             println!(
-                "  {:<10} ladder     {}",
-                rung_name(path.exec),
+                "  {:<13} ladder     {}",
+                path.name,
                 doc["leg"].as_str().unwrap_or("?")
             );
             failures.extend(lf);
             ladder.push(doc);
+        }
+    }
+
+    for kind in CLASSES {
+        if !covered.contains(&kind.name()) {
+            failures.push(format!("{}: no grid row can fire this class", kind.name()));
         }
     }
 

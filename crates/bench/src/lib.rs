@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 
 pub mod fused;
-pub mod parallel;
 pub mod sparse;
 pub mod swar;
 pub mod tables;

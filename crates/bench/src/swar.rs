@@ -12,8 +12,7 @@
 //! before publishing a number — the export fails outright if any row
 //! diverges.
 //!
-//! Unlike the parallel-fused bench, the headline configuration is
-//! **single-threaded**: `FusedSwar { parallel: None }`, so every speedup
+//! The headline configuration is **single-threaded**: `FusedSwar { parallel: None }`, so every speedup
 //! is word-level parallelism, not thread count. The workloads sweep shape
 //! as well as size (see [`SwarWorkload`]): the zero-word skip makes the
 //! filter kernels' cost proportional to *occupied adjacency words*, so a

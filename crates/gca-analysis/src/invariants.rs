@@ -11,7 +11,7 @@
 //!    [`gca_hirschberg::invariants::contract_step`] — the same function the
 //!    dynamic `InvariantCheck` harness replays against live runs — is shown
 //!    per cell to be *exactly* the shipped
-//!    [`HirschbergRule`](gca_hirschberg::HirschbergRule): for every
+//!    [`HirschbergRule`]: for every
 //!    `(generation, sub-generation)` of the schedule, every cell, every
 //!    admissible own state and every admissible read value, the rule's
 //!    declared access and evolve output equal the transfer's. Two
@@ -647,7 +647,7 @@ fn verify_hook_lemma(max_roots: usize, seed: Option<Seed>) -> Result<u64, ProofF
                 }
             }
 
-            for i in 0..m {
+            for (i, &ti) in t.iter().enumerate().take(m) {
                 // Refinement: merging stays inside one R-component.
                 let g = groups.find(i);
                 if comps.find(i) != comps.find(g) {
@@ -656,7 +656,7 @@ fn verify_hook_lemma(max_roots: usize, seed: Option<Seed>) -> Result<u64, ProofF
                     )));
                 }
                 // Progress: non-isolated roots never stay alone.
-                if t[i] != i && (0..m).filter(|&j| groups.find(j) == g).count() < 2 {
+                if ti != i && (0..m).filter(|&j| groups.find(j) == g).count() < 2 {
                     return Err(fault(format!("hooked root {i} is alone in its group")));
                 }
             }
@@ -822,10 +822,10 @@ fn verify_induction(k_max: u32, seed: Option<Seed>) -> Result<u64, ProofFault> {
                     jumps_seen += 1;
                     // Once the verified coverage bound is met, the chain
                     // may assume the terminal cycles are reached.
-                    if n == 1 || (1u128 << jumps_seen.min(jumps)) >= n - 1 {
-                        if !facts.contains(&Fact::OnCycle) {
-                            facts.push(Fact::OnCycle);
-                        }
+                    if (n == 1 || (1u128 << jumps_seen.min(jumps)) >= n - 1)
+                        && !facts.contains(&Fact::OnCycle)
+                    {
+                        facts.push(Fact::OnCycle);
                     }
                 }
                 if gen == Gen::CopyAndSaveT && nn == 1 {

@@ -223,7 +223,7 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     let mut i = 0usize;
     while i < n {
         if c[i] < i {
-            if i % 2 == 0 {
+            if i.is_multiple_of(2) {
                 perm.swap(0, i);
             } else {
                 perm.swap(c[i], i);

@@ -1,6 +1,6 @@
 //! Layer three, part two: the partition-disjointness prover.
 //!
-//! The fused parallel path runs every kernel as a row-range function
+//! The row-partitioned SWAR path runs every kernel as a row-range function
 //! over `par_chunks_mut` partitions planned by
 //! [`gca_hirschberg::kernels::plan_rows`]. Safe Rust already makes a
 //! *data race* between chunks unrepresentable — `par_chunks_mut` hands
@@ -28,8 +28,8 @@
 //! field, stay whole-row aligned, agree across companion planes, and
 //! that the merged histogram targets never alias. The seeded-fault hook
 //! extends chunk 0's interval by one row — the same off-by-one overlap
-//! that [`gca_hirschberg`]'s dynamic `seed_partition_fault` models as a
-//! double-counted row-0 read — and must be rejected as
+//! that a dynamic `dup-row` fault plan (`FaultKind::DuplicatedChunkRow`)
+//! models as a double-counted row-0 read — and must be rejected as
 //! [`PartitionFault::Overlap`].
 
 use gca_engine::WORD_BITS;
@@ -346,8 +346,8 @@ fn geometries(n: usize) -> Vec<Geometry> {
 
 /// The half-open element intervals `par_chunks_mut(size)` yields over a
 /// plane of `len` elements. `grow_first` is the seeded fault: chunk 0
-/// claims one extra row, the off-by-one partition the dynamic
-/// `seed_partition_fault` hook models.
+/// claims one extra row, the off-by-one partition the dynamic `dup-row`
+/// fault plan models.
 fn intervals(len: usize, size: usize, grow_first: Option<usize>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut start = 0;
@@ -579,8 +579,7 @@ pub fn verify() -> Result<PartitionReport, PartitionFault> {
 
 /// Seeded-fault entry: replans every geometry with chunk 0's interval
 /// grown by one row — the off-by-one double-covered row that the
-/// dynamic `seed_partition_fault` hook models as a duplicated row-0
-/// read. `Some` carries the fault the prover found; `None` means the
+/// dynamic `dup-row` fault plan models as a duplicated row-0 read. `Some` carries the fault the prover found; `None` means the
 /// seeded overlap escaped — a broken prover.
 pub fn verify_seeded() -> Option<PartitionFault> {
     verify_inner(true).err()

@@ -7,8 +7,8 @@
 //! `Instrumentation::Validate`) replays the *same* transfer functions
 //! against live runs. These tests close the loop from both sides:
 //!
-//! * random graphs (`n ≤ 64`) run under the armed harness across all four
-//!   execution paths (generic, fused, row-parallel fused, SWAR) — no
+//! * random graphs (`n ≤ 64`) run under the armed harness across all three
+//!   execution paths (generic, fused, SWAR — sequential and row-parallel) — no
 //!   `InvariantViolation` may fire, and the final labels must equal the
 //!   independent union-find canonical form;
 //! * the prover itself must discharge every contract over the same size
@@ -23,15 +23,18 @@ use gca_engine::{Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::complexity::outer_iterations;
-use gca_hirschberg::{ExecPath, FusedParallel, InvariantClass, Machine};
+use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, InvariantClass, Machine};
 use proptest::prelude::*;
 
-/// The four execution paths the live harness must agree on.
+/// The three execution paths the live harness must agree on, SWAR both
+/// sequential and row-partitioned.
 fn exec_paths() -> [ExecPath; 4] {
     [
         ExecPath::Generic,
         ExecPath::Fused,
-        ExecPath::FusedParallel(FusedParallel::with_workers(2)),
+        ExecPath::FusedSwar(FusedSwar {
+            parallel: Some(FusedParallel::with_workers(2)),
+        }),
         ExecPath::fused_swar(),
     ]
 }
@@ -43,7 +46,9 @@ fn run_validated(
     exec: ExecPath,
     fault: Option<InvariantClass>,
 ) -> Result<Vec<usize>, GcaError> {
-    let engine = Engine::sequential().with_instrumentation(Instrumentation::Validate);
+    let engine = Engine::sequential()
+        .with_instrumentation(Instrumentation::Validate)
+        .with_min_parallel_cells(0);
     let mut m = Machine::with_engine(g, engine)?.with_exec(exec);
     if let Some(class) = fault {
         m.seed_invariant_fault(class);

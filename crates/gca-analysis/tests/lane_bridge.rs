@@ -10,14 +10,15 @@
 //!   formula and checked against the scalar reference rule — the formulas
 //!   must agree off the exhaustively-enumerated grid too;
 //! * random graphs (`n ≤ 64`, one adjacency word per row plus a partial
-//!   tail) run through all four execution paths (generic, fused,
-//!   row-parallel fused, SWAR — sequential and row-parallel), asserting
+//!   tail) run through all three execution paths (generic, fused,
+//!   SWAR — sequential and row-parallel), asserting
 //!   label-for-label agreement with the sequential union-find baseline:
 //!   if a lifted formula mis-modeled the live kernels, this is where the
 //!   divergence would surface.
 
 use gca_analysis::lanes::{self, LaneState};
 use gca_analysis::{occupancy, partition, OccupancyFault, PartitionFault, PlaneState};
+use gca_engine::Engine;
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, Gen, HirschbergGca};
@@ -100,7 +101,7 @@ proptest! {
         }
     }
 
-    /// All four execution paths produce the union-find labeling on random
+    /// All three execution paths produce the union-find labeling on random
     /// graphs spanning full words and partial tails (`n ≤ 64`).
     #[test]
     fn all_exec_paths_agree_on_random_graphs(g in arb_graph(64)) {
@@ -108,20 +109,23 @@ proptest! {
         let paths = [
             ExecPath::Generic,
             ExecPath::Fused,
-            ExecPath::FusedParallel(FusedParallel {
-                workers: 3,
-                threshold: Some(0),
-            }),
             ExecPath::fused_swar(),
             ExecPath::FusedSwar(FusedSwar {
-                parallel: Some(FusedParallel {
-                    workers: 2,
-                    threshold: Some(0),
-                }),
+                parallel: Some(FusedParallel::with_workers(2)),
+            }),
+            ExecPath::FusedSwar(FusedSwar {
+                parallel: Some(FusedParallel::with_workers(3)),
             }),
         ];
+        // A zero threshold makes the partitioned paths split every
+        // generation, however small the field.
+        let engine = Engine::sequential().with_min_parallel_cells(0);
         for path in paths {
-            let run = HirschbergGca::new().exec(path).run(&g).expect("run");
+            let run = HirschbergGca::new()
+                .with_engine(engine.clone())
+                .exec(path)
+                .run(&g)
+                .expect("run");
             prop_assert_eq!(
                 run.labels.as_slice(),
                 expected.as_slice(),

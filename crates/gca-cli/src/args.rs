@@ -2,7 +2,7 @@
 
 use gca_engine::faults::FaultSpec;
 use gca_engine::recovery::RecoveryPolicy;
-use gca_engine::{Backend, DomainPolicy};
+use gca_engine::Backend;
 use gca_hirschberg::{Convergence, ExecPath, FusedParallel};
 use std::fmt;
 
@@ -66,8 +66,6 @@ impl MachineKind {
 pub struct EngineOpts {
     /// Execution backend (`--backend`).
     pub backend: Backend,
-    /// Active-domain stepping policy (`--domain`).
-    pub domain: DomainPolicy,
     /// Pointer-jump convergence handling (`--convergence`).
     pub convergence: Convergence,
     /// Execution path (`--exec`): generic per-cell dispatch or fused kernels.
@@ -97,17 +95,6 @@ impl EngineOpts {
         }
     }
 
-    /// Parses a `--domain` value.
-    pub fn parse_domain(s: &str) -> Result<DomainPolicy, ArgError> {
-        match s {
-            "hinted" => Ok(DomainPolicy::Hinted),
-            "dense" => Ok(DomainPolicy::Dense),
-            other => Err(ArgError(format!(
-                "unknown domain policy '{other}' (expected hinted|dense)"
-            ))),
-        }
-    }
-
     /// Parses a `--convergence` value.
     pub fn parse_convergence(s: &str) -> Result<Convergence, ArgError> {
         match s {
@@ -124,28 +111,21 @@ impl EngineOpts {
         match s {
             "generic" => Ok(ExecPath::Generic),
             "fused" => Ok(ExecPath::Fused),
-            "fused-par" | "fused-parallel" => {
-                Ok(ExecPath::FusedParallel(FusedParallel::default()))
-            }
             "fused-swar" => Ok(ExecPath::fused_swar()),
             other => Err(ArgError(format!(
-                "unknown exec path '{other}' (expected generic|fused|fused-par|fused-swar)"
+                "unknown exec path '{other}' (expected generic|fused|fused-swar)"
             ))),
         }
     }
 
-    /// `backend=… domain=… convergence=… exec=…`, as shown in reports
-    /// (plus ` validate=on` when the sanitizer is enabled).
+    /// `backend=… convergence=… exec=…`, as shown in reports (plus
+    /// ` validate=on` when the sanitizer is enabled).
     pub fn describe(&self) -> String {
         let mut s = format!(
-            "backend={} domain={} convergence={} exec={}",
+            "backend={} convergence={} exec={}",
             match self.backend {
                 Backend::Sequential => "sequential",
                 Backend::Parallel => "parallel",
-            },
-            match self.domain {
-                DomainPolicy::Hinted => "hinted",
-                DomainPolicy::Dense => "dense",
             },
             match self.convergence {
                 Convergence::Fixed => "fixed",
@@ -154,12 +134,10 @@ impl EngineOpts {
             match self.exec {
                 ExecPath::Generic => "generic",
                 ExecPath::Fused => "fused",
-                ExecPath::FusedParallel(_) => "fused-par",
                 ExecPath::FusedSwar(_) => "fused-swar",
             }
         );
         let workers = match self.exec {
-            ExecPath::FusedParallel(cfg) => Some(cfg.workers),
             ExecPath::FusedSwar(swar) => swar.parallel.map(|cfg| cfg.workers),
             _ => None,
         };
@@ -296,14 +274,14 @@ INPUT:
 OPTIONS:
   --machine <m>      gca (default) | ncells | lowcong | twohand | closure | emu | pram | seq
   --backend <b>      seq (default) | par — engine backend (gca machine only)
-  --domain <d>       hinted (default) | dense — active-domain stepping policy (gca machine only)
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
-  --exec <e>         generic (default) | fused | fused-par | fused-swar — per-cell dispatch,
-                     fused flat-array kernels, row-partitioned parallel fused kernels, or
-                     word-parallel SWAR kernels over the bit-packed adjacency plane with the
-                     symbolic-activity generation scheduler (gca machine only)
-  --workers <k>      worker count for --exec fused-par / fused-swar (0 or omitted = auto from
-                     the machine's thread count; fused-swar runs single-thread unless given)
+  --exec <e>         generic (default) | fused | fused-swar — per-cell dispatch, fused
+                     flat-array kernels, or word-parallel SWAR kernels over the bit-packed
+                     adjacency plane with the symbolic-activity generation scheduler
+                     (gca machine only)
+  --workers <k>      row-partition fused-swar over k workers (0 = auto from the machine's
+                     thread count; single-thread unless given). A generation partitions
+                     only once its n(n+1)-cell field reaches 16384 cells
   --validate         run under the CROW/domain sanitizer: replay every generation against the
                      owner-write / read-snapshot / domain contracts (gca machine only; slower)
   --invariants       run the live invariant mirror: every generation replayed against the
@@ -314,9 +292,12 @@ OPTIONS:
                        <kind>[@<gen>[.<cell>[.<bit>]]][:seed=<u64>][:sticky]
                      with kind bitflip | torn | drop | stale-occ | dup-row | hist-merge.
                      Detection needs --validate; an undetected label divergence exits 4.
+                     A fault the configuration cannot fire is rejected: stale-occ needs
+                     fused-swar, hist-merge a fused path, dup-row >= 2 workers on a field
+                     that partitions.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —
-                     degrade walks fused-swar -> fused-par -> fused -> generic. Exhausted
+                     degrade walks fused-swar -> fused -> generic. Exhausted
                      recovery exits 3; a recovered run exits 0 and prints its report.
   --checkpoint-every <N>
                      checkpoint cadence in outer iterations under supervision (default 1)
@@ -396,12 +377,6 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
                     .ok_or_else(|| ArgError("--backend needs a value".into()))?;
                 engine.backend = EngineOpts::parse_backend(v)?;
             }
-            "--domain" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| ArgError("--domain needs a value".into()))?;
-                engine.domain = EngineOpts::parse_domain(v)?;
-            }
             "--convergence" => {
                 let v = it
                     .next()
@@ -470,17 +445,10 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     }
 
     if let Some(w) = workers {
-        match &mut engine.exec {
-            ExecPath::FusedParallel(cfg) => cfg.workers = w,
-            ExecPath::FusedSwar(swar) => {
-                swar.parallel = Some(FusedParallel::with_workers(w));
-            }
-            _ => {
-                return Err(ArgError(
-                    "--workers requires --exec fused-par or fused-swar".into(),
-                ))
-            }
-        }
+        let ExecPath::FusedSwar(swar) = &mut engine.exec else {
+            return Err(ArgError("--workers requires --exec fused-swar".into()));
+        };
+        swar.parallel = Some(FusedParallel::with_workers(w));
     }
 
     if let Some(n) = cadence {
@@ -589,58 +557,34 @@ mod tests {
         let a = parse(&argv(&["empty:3"])).unwrap();
         assert_eq!(a.engine, EngineOpts::default());
         assert_eq!(a.engine.backend, Backend::Sequential);
-        assert_eq!(a.engine.domain, DomainPolicy::Hinted);
         assert_eq!(a.engine.convergence, Convergence::Fixed);
         assert_eq!(a.engine.exec, ExecPath::Generic);
         assert!(!a.engine.validate);
 
         let a = parse(&argv(&[
-            "--backend", "par", "--domain", "dense", "--convergence", "detect", "--exec",
-            "fused", "ring:5",
+            "--backend", "par", "--convergence", "detect", "--exec", "fused", "ring:5",
         ]))
         .unwrap();
         assert_eq!(a.engine.backend, Backend::Parallel);
-        assert_eq!(a.engine.domain, DomainPolicy::Dense);
         assert_eq!(a.engine.convergence, Convergence::Detect);
         assert_eq!(a.engine.exec, ExecPath::Fused);
         assert_eq!(
             a.engine.describe(),
-            "backend=parallel domain=dense convergence=detect exec=fused"
+            "backend=parallel convergence=detect exec=fused"
         );
     }
 
     #[test]
-    fn parses_fused_par_and_workers() {
-        let a = parse(&argv(&["--exec", "fused-par", "ring:5"])).unwrap();
-        assert_eq!(a.engine.exec, ExecPath::FusedParallel(FusedParallel::default()));
-        assert_eq!(
-            a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-par"
-        );
-
-        let a = parse(&argv(&["--exec", "fused-par", "--workers", "4", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedParallel(FusedParallel::with_workers(4))
-        );
-        assert_eq!(
-            a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-par workers=4"
-        );
-
-        // --workers before --exec works too: patching happens after the loop.
-        let a = parse(&argv(&["--workers", "2", "--exec", "fused-par", "ring:5"])).unwrap();
-        assert_eq!(
-            a.engine.exec,
-            ExecPath::FusedParallel(FusedParallel::with_workers(2))
-        );
+    fn retired_knobs_are_rejected() {
+        assert!(parse(&argv(&["--exec", "fused-par", "ring:5"])).is_err());
+        assert!(parse(&argv(&["--domain", "dense", "ring:5"])).is_err());
     }
 
     #[test]
-    fn workers_requires_fused_par() {
+    fn workers_requires_fused_swar() {
         assert!(parse(&argv(&["--workers", "4", "ring:5"])).is_err());
         assert!(parse(&argv(&["--exec", "fused", "--workers", "4", "ring:5"])).is_err());
-        assert!(parse(&argv(&["--exec", "fused-par", "--workers", "x", "ring:5"])).is_err());
+        assert!(parse(&argv(&["--exec", "fused-swar", "--workers", "x", "ring:5"])).is_err());
         assert!(parse(&argv(&["--workers"])).is_err());
     }
 
@@ -650,7 +594,7 @@ mod tests {
         assert_eq!(a.engine.exec, ExecPath::fused_swar());
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-swar"
+            "backend=sequential convergence=fixed exec=fused-swar"
         );
 
         // --workers composes: SWAR bodies inside each parallel row chunk.
@@ -663,7 +607,7 @@ mod tests {
         );
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=fused-swar workers=4"
+            "backend=sequential convergence=fixed exec=fused-swar workers=4"
         );
 
         // --workers before --exec works too: patching happens after the loop.
@@ -682,7 +626,7 @@ mod tests {
         assert!(a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=generic validate=on"
+            "backend=sequential convergence=fixed exec=generic validate=on"
         );
     }
 
@@ -692,7 +636,7 @@ mod tests {
         assert!(a.engine.invariants && a.engine.validate);
         assert_eq!(
             a.engine.describe(),
-            "backend=sequential domain=hinted convergence=fixed exec=generic \
+            "backend=sequential convergence=fixed exec=generic \
              validate=on invariants=on"
         );
         // --validate alone does not advertise the invariant tier.
@@ -763,7 +707,6 @@ mod tests {
     #[test]
     fn engine_knobs_reject_bad_values() {
         assert!(parse(&argv(&["--backend", "gpu", "empty:2"])).is_err());
-        assert!(parse(&argv(&["--domain", "sparse", "empty:2"])).is_err());
         assert!(parse(&argv(&["--convergence", "never", "empty:2"])).is_err());
         assert!(parse(&argv(&["--exec", "simd", "empty:2"])).is_err());
         assert!(parse(&argv(&["--backend"])).is_err());

@@ -52,40 +52,9 @@ pub fn execute(
         // An empty field has no generations to supervise, so n = 0 falls
         // through to the plain runner.
         MachineKind::Gca if recovery.supervised() && graph.n() > 0 => {
-            supervised_gca(graph, opts, recovery)?
+            supervised_gca(graph, opts, gca_engine(opts), recovery)?
         }
-        MachineKind::Gca => {
-            let mut engine = Engine::new()
-                .with_backend(opts.backend)
-                .with_domain_policy(opts.domain);
-            if opts.validate {
-                engine = engine.with_instrumentation(Instrumentation::Validate);
-            }
-            let mut gca = HirschbergGca::new()
-                .with_engine(engine)
-                .convergence(opts.convergence)
-                .exec(opts.exec);
-            if matches!(opts.exec, gca_hirschberg::ExecPath::FusedSwar(_)) {
-                // Install the symbolically derived schedule (the oracle the
-                // SWAR driver consults for sub-generation skipping; equal to
-                // the structural bound for the shipped rule, and
-                // cross-checked dynamically under --validate).
-                gca = gca.with_swar_schedule(gca_analysis::swar_schedule(graph.n()));
-            }
-            let run = gca.run(graph)?;
-            Outcome {
-                machine,
-                labels: run.labels,
-                steps: Some(run.generations),
-                work: None,
-                max_congestion: Some(run.metrics.max_congestion()),
-                metrics: Some(run.metrics),
-                engine: Some(opts.describe()),
-                recovery: None,
-                diverged: None,
-                wall_ms: 0.0,
-            }
-        }
+        MachineKind::Gca => plain_gca(graph, opts, gca_engine(opts))?,
         MachineKind::NCells => {
             let run = n_cells::run(graph)?;
             Outcome {
@@ -194,10 +163,54 @@ pub fn execute(
     Ok(outcome)
 }
 
+/// The engine the main GCA machine runs on: the `--backend` choice, under
+/// the sanitizer when `--validate` is set.
+fn gca_engine(opts: &EngineOpts) -> Engine {
+    let engine = Engine::new().with_backend(opts.backend);
+    if opts.validate {
+        engine.with_instrumentation(Instrumentation::Validate)
+    } else {
+        engine
+    }
+}
+
+/// Runs the main GCA machine to completion on `engine`.
+fn plain_gca(
+    graph: &AdjacencyMatrix,
+    opts: &EngineOpts,
+    engine: Engine,
+) -> Result<Outcome, Box<dyn std::error::Error>> {
+    let mut gca = HirschbergGca::new()
+        .with_engine(engine)
+        .convergence(opts.convergence)
+        .exec(opts.exec);
+    if matches!(opts.exec, gca_hirschberg::ExecPath::FusedSwar(_)) {
+        // Install the symbolically derived schedule (the oracle the SWAR
+        // driver consults for sub-generation skipping; equal to the
+        // structural bound for the shipped rule, and cross-checked
+        // dynamically under --validate).
+        gca = gca.with_swar_schedule(gca_analysis::swar_schedule(graph.n()));
+    }
+    let run = gca.run(graph)?;
+    Ok(Outcome {
+        machine: MachineKind::Gca,
+        labels: run.labels,
+        steps: Some(run.generations),
+        work: None,
+        max_congestion: Some(run.metrics.max_congestion()),
+        metrics: Some(run.metrics),
+        engine: Some(opts.describe()),
+        recovery: None,
+        diverged: None,
+        wall_ms: 0.0,
+    })
+}
+
 /// Runs the main GCA machine under the checkpointing supervisor,
 /// optionally with a planted fault. The machine mirrors the plain arm's
-/// configuration (backend, domain, exec path, SWAR schedule, sanitizer);
-/// the fault spec is resolved against the run geometry, the supervisor
+/// configuration (backend, exec path, SWAR schedule, sanitizer); a fault
+/// spec the configuration can never fire is rejected, a firable one is
+/// resolved against the run geometry, the supervisor
 /// drives iteration-granular checkpoints per the policy, and — whenever
 /// a fault is armed — the final labels are cross-checked against the
 /// union-find reference so a corruption that slips past every detector
@@ -205,14 +218,9 @@ pub fn execute(
 fn supervised_gca(
     graph: &AdjacencyMatrix,
     opts: &EngineOpts,
+    engine: Engine,
     recovery: &RecoveryOpts,
 ) -> Result<Outcome, Box<dyn std::error::Error>> {
-    let mut engine = Engine::new()
-        .with_backend(opts.backend)
-        .with_domain_policy(opts.domain);
-    if opts.validate {
-        engine = engine.with_instrumentation(Instrumentation::Validate);
-    }
     let mut machine = Machine::with_engine(graph, engine)?
         .with_convergence(opts.convergence)
         .with_exec(opts.exec);
@@ -220,6 +228,9 @@ fn supervised_gca(
         machine = machine.with_swar_schedule(gca_analysis::swar_schedule(graph.n()));
     }
     if let Some(spec) = recovery.inject {
+        if let Some(why) = machine.fault_inapplicability(spec.kind) {
+            return Err(format!("--inject {}: {why}", spec.kind.name()).into());
+        }
         let plan = spec.resolve(
             machine.field().len(),
             total_generations(graph.n()),
@@ -452,13 +463,12 @@ mod tests {
 
     #[test]
     fn engine_knobs_do_not_change_labels() {
-        use gca_engine::{Backend, DomainPolicy};
+        use gca_engine::Backend;
         use gca_hirschberg::{Convergence, ExecPath};
         let g = generators::gnp(10, 0.3, 5);
         let reference = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
         let opts = EngineOpts {
             backend: Backend::Parallel,
-            domain: DomainPolicy::Dense,
             convergence: Convergence::Detect,
             exec: ExecPath::Generic,
             ..EngineOpts::default()
@@ -468,7 +478,7 @@ mod tests {
         assert!(tuned.steps.unwrap() <= reference.steps.unwrap());
         assert_eq!(
             tuned.engine.as_deref(),
-            Some("backend=parallel domain=dense convergence=detect exec=generic")
+            Some("backend=parallel convergence=detect exec=generic")
         );
     }
 
@@ -491,7 +501,7 @@ mod tests {
         );
         assert_eq!(
             fused.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused")
+            Some("backend=sequential convergence=fixed exec=fused")
         );
     }
 
@@ -515,20 +525,19 @@ mod tests {
         );
         assert_eq!(
             swar.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused-swar")
+            Some("backend=sequential convergence=fixed exec=fused-swar")
         );
     }
 
     #[test]
     fn validate_knob_is_bit_identical_on_both_exec_paths() {
-        use gca_hirschberg::{ExecPath, FusedParallel};
+        use gca_hirschberg::ExecPath;
         let g = generators::gnp(16, 0.3, 11);
         let reference = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
         for exec in [
             ExecPath::Generic,
             ExecPath::Fused,
-            // threshold 0 forces the row-partitioned path even at n = 16.
-            ExecPath::FusedParallel(FusedParallel { workers: 2, threshold: Some(0) }),
+            swar_par(2),
             ExecPath::fused_swar(),
         ] {
             let opts = EngineOpts {
@@ -536,7 +545,7 @@ mod tests {
                 validate: true,
                 ..EngineOpts::default()
             };
-            let validated = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
+            let validated = plain_gca(&g, &opts, eager_par(gca_engine(&opts))).unwrap();
             assert_eq!(validated.labels.as_slice(), reference.labels.as_slice());
             assert_eq!(
                 validated.metrics.as_ref().unwrap().entries(),
@@ -547,15 +556,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_par_exec_matches_generic_via_cli_path() {
-        use gca_hirschberg::{ExecPath, FusedParallel};
+    fn swar_par_exec_matches_generic_via_cli_path() {
         let g = generators::gnp(18, 0.25, 13);
         let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
         let opts = EngineOpts {
-            exec: ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }),
+            exec: swar_par(3),
             ..EngineOpts::default()
         };
-        let par = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
+        let par = plain_gca(&g, &opts, eager_par(gca_engine(&opts))).unwrap();
         assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
         assert_eq!(par.steps, generic.steps);
         assert_eq!(
@@ -564,8 +572,61 @@ mod tests {
         );
         assert_eq!(
             par.engine.as_deref(),
-            Some("backend=sequential domain=hinted convergence=fixed exec=fused-par workers=3")
+            Some("backend=sequential convergence=fixed exec=fused-swar workers=3")
         );
+    }
+
+    /// Fused-swar row-partitioned over `workers` chunks, as `--exec
+    /// fused-swar --workers <k>` configures it.
+    fn swar_par(workers: usize) -> gca_hirschberg::ExecPath {
+        use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar};
+        ExecPath::FusedSwar(FusedSwar { parallel: Some(FusedParallel::with_workers(workers)) })
+    }
+
+    /// `engine` with a zero parallel threshold, so a partitioned path
+    /// splits every generation even on these small test fields.
+    fn eager_par(engine: Engine) -> Engine {
+        engine.with_min_parallel_cells(0)
+    }
+
+    #[test]
+    fn inapplicable_fault_specs_are_rejected() {
+        use gca_engine::faults::FaultSpec;
+        use gca_hirschberg::ExecPath;
+        let g = generators::path(24);
+        let inject = |spec: &str| RecoveryOpts {
+            inject: Some(FaultSpec::parse(spec).unwrap()),
+            ..RecoveryOpts::default()
+        };
+        let opts = |exec| EngineOpts { exec, validate: true, ..EngineOpts::default() };
+        for (exec, spec, needs) in [
+            (ExecPath::Generic, "stale-occ", "fused-swar"),
+            (ExecPath::Fused, "stale-occ", "fused-swar"),
+            (ExecPath::Generic, "hist-merge", "fused path"),
+            (ExecPath::fused_swar(), "dup-row", "2 workers"),
+            // n(n+1) = 600 cells: below the default threshold, so the
+            // two-worker configuration never partitions.
+            (swar_par(2), "dup-row", "row-partitions"),
+        ] {
+            let err = execute(MachineKind::Gca, &g, &opts(exec), &inject(spec))
+                .err()
+                .unwrap_or_else(|| panic!("{spec} on {exec:?} must be rejected"))
+                .to_string();
+            assert!(err.starts_with(&format!("--inject {spec}:")), "{err}");
+            assert!(err.contains(needs), "{err}");
+        }
+        // The same classes are accepted where they can fire.
+        for (exec, spec) in [
+            (ExecPath::fused_swar(), "stale-occ"),
+            (ExecPath::Fused, "hist-merge"),
+            (ExecPath::Generic, "bitflip"),
+        ] {
+            assert!(execute(MachineKind::Gca, &g, &opts(exec), &inject(spec)).is_ok(), "{spec}");
+        }
+        // dup-row is accepted once generation 1 row-partitions.
+        let partitioned = opts(swar_par(2));
+        let engine = eager_par(gca_engine(&partitioned));
+        assert!(supervised_gca(&g, &partitioned, engine, &inject("dup-row")).is_ok());
     }
 
     fn transient_flip(generation: u64, cell: usize) -> RecoveryOpts {
@@ -677,7 +738,7 @@ mod tests {
         let text = render_text(&outcome, &g, &args_for(MachineKind::Gca));
         assert!(text.contains("graph: 8 nodes, 8 edges"));
         assert!(text.contains("components: 1"));
-        assert!(text.contains("engine: backend=sequential domain=hinted convergence=fixed"));
+        assert!(text.contains("engine: backend=sequential convergence=fixed"));
         assert!(text.contains("per-generation metrics"));
         assert!(text.contains("labels:"));
     }

@@ -219,6 +219,51 @@ fn json_recovery_report_parses() {
 }
 
 #[test]
+fn fault_the_configuration_cannot_fire_exits_one() {
+    // Generic has no occupancy plane; at path:24 the field (600 cells)
+    // is below the parallel threshold, so two workers never partition.
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["path:24", "--exec", "generic", "--validate", "--inject", "stale-occ"],
+            "stale-occ",
+        ),
+        (
+            &[
+                "path:24", "--exec", "fused-swar", "--workers", "2", "--validate", "--inject",
+                "dup-row",
+            ],
+            "dup-row",
+        ),
+    ];
+    for (args, class) in cases {
+        let out = gca_cc().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("--inject {class}: needs")), "{err}");
+    }
+}
+
+#[test]
+fn partitioned_dup_row_is_detected_and_recovered() {
+    // n = 128 is the first size whose generation 1 (n(n+1) = 16 512
+    // cells) clears the parallel threshold, so the duplicated chunk row
+    // fires inside a real two-worker partition.
+    let out = gca_cc()
+        .args([
+            "gnp:128:100", "--exec", "fused-swar", "--workers", "2", "--validate", "--inject",
+            "dup-row", "--recover", "retry:3",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("recovered: 1 fault(s) detected"), "{text}");
+    assert!(text.contains("differential-replay"), "{text}");
+    assert!(text.contains("fault containment: labels match"), "{text}");
+}
+
+#[test]
 fn bad_fault_spec_fails_with_usage() {
     let out = gca_cc()
         .args(["path:8", "--inject", "meltdown@1"])

@@ -224,8 +224,8 @@ pub struct Engine {
     instrumentation: Instrumentation,
     domain_policy: DomainPolicy,
     /// Override of the [`MIN_PAR_CELLS`] parallel-fallback threshold
-    /// (`None` = default). Shared knob: `gca-hirschberg`'s `FusedParallel`
-    /// path consults the same value via [`Engine::min_parallel_cells`].
+    /// (`None` = default). Shared knob: `gca-hirschberg`'s row-partitioned
+    /// SWAR path consults the same value via [`Engine::min_parallel_cells`].
     min_par_cells: Option<usize>,
     generation: u64,
     scratch: StepScratch,
@@ -276,7 +276,7 @@ impl Engine {
 
     /// Overrides the minimum evaluated-cell count below which a
     /// [`Backend::Parallel`] step falls back to the sequential evaluator
-    /// (default: 16 Ki cells). The fused data-parallel path
+    /// (default: 16 Ki cells). The row-partitioned SWAR path
     /// (`gca-hirschberg`'s `FusedParallel`) inherits the same threshold, so
     /// one knob governs both auto-fallback decisions. `0` disables the
     /// fallback entirely (useful in tests exercising tiny fields).

@@ -49,8 +49,8 @@ pub enum FaultKind {
     StaleOccupancy,
     /// Two worker row partitions overlap on one boundary cell, which is
     /// then accounted twice in the counting broadcast — the observable
-    /// effect of a duplicated chunk row. Meaningful only on parallel
-    /// fused paths with at least two workers.
+    /// effect of a duplicated chunk row. Meaningful only on the
+    /// fused-SWAR path row-partitioned over at least two workers.
     DuplicatedChunkRow,
     /// A corrupted per-chunk histogram merge: one cell's read count gains
     /// a phantom increment when worker histograms are folded into the
@@ -85,7 +85,7 @@ pub enum Persistence {
     /// broken unit (see `RecoveryPolicy::Degrade` in [`crate::recovery`]).
     Sticky {
         /// Lowest execution-ladder level at which the fault still fires
-        /// (0 = generic, 1 = fused, 2 = fused-par, 3 = fused-swar).
+        /// (0 = generic, 1 = fused, 2 = fused-swar).
         min_level: u8,
     },
 }

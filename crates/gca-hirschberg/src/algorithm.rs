@@ -1,6 +1,6 @@
 use crate::complexity::{ceil_log2, total_generations};
 use crate::invariants::{InvariantChecker, InvariantClass};
-use crate::kernels::{FusedExecutor, KernelReport, ParPolicy};
+use crate::kernels::{plan_rows, FusedExecutor, KernelReport, ParPolicy};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout, SwarSchedule};
 use gca_engine::faults::{FaultKind, FaultPlan};
 use gca_engine::metrics::{CongestionHistogram, GenerationMetrics, MetricsLog};
@@ -60,7 +60,7 @@ pub struct Machine {
     fused: FusedExecutor,
     /// Whether the fused executor's SoA mirror currently reflects `field`.
     /// Anything that mutates the field behind the kernels' back (generic
-    /// steps, snapshot restore, graph reset, seeded faults) clears it; the
+    /// steps, snapshot restore, graph reset) clears it; the
     /// next fused step reloads the mirror.
     soa_valid: bool,
     initialized: bool,
@@ -71,9 +71,6 @@ pub struct Machine {
     /// the fused path: a shadow field replayed through the reference engine
     /// (itself running the CROW sanitizer) after every fused generation.
     validator: Option<FusedValidator>,
-    /// Test-only seeded fault: corrupts this cell after the next fused
-    /// generation so the replay harness can prove it catches divergence.
-    fault: Option<usize>,
     /// The algorithm-level invariant checker, also armed by
     /// [`Instrumentation::Validate`] — on *every* execution path. Replays
     /// the schedule's Hoare-contract transfers (see
@@ -134,7 +131,6 @@ impl Machine {
             initialized: false,
             swar_schedule: None,
             validator: None,
-            fault: None,
             inv: None,
             inv_fault: None,
             inject: None,
@@ -245,23 +241,20 @@ impl Machine {
     /// fall back to it. `Validate` stays fused on purpose: that is what
     /// arms the differential replay harness against the kernels.
     fn fused_active(&self) -> bool {
-        matches!(
-            self.exec,
-            ExecPath::Fused | ExecPath::FusedParallel(_) | ExecPath::FusedSwar(_)
-        ) && !matches!(self.engine.instrumentation(), Instrumentation::Trace)
+        matches!(self.exec, ExecPath::Fused | ExecPath::FusedSwar(_))
+            && !matches!(self.engine.instrumentation(), Instrumentation::Trace)
     }
 
-    /// Resolves [`ExecPath::FusedParallel`]'s knob into the per-step policy
-    /// the kernels consume: auto worker counts default to the hardware
-    /// thread count, an unset threshold inherits the engine's shared
+    /// Resolves [`FusedSwar::parallel`](crate::FusedSwar::parallel) into
+    /// the per-step policy the kernels consume: auto worker counts default
+    /// to the hardware thread count, the threshold is the engine's shared
     /// tunable, and anything that resolves below two workers runs the
-    /// plain sequential fused path.
+    /// plain sequential kernels.
     fn par_policy(&self) -> Option<ParPolicy> {
-        let cfg = match self.exec {
-            ExecPath::FusedParallel(cfg) => cfg,
-            ExecPath::FusedSwar(swar) => swar.parallel?,
-            _ => return None,
+        let ExecPath::FusedSwar(swar) = self.exec else {
+            return None;
         };
+        let cfg = swar.parallel?;
         let workers = if cfg.workers == 0 {
             rayon::current_num_threads()
         } else {
@@ -269,9 +262,7 @@ impl Machine {
         };
         (workers >= 2).then(|| ParPolicy {
             workers,
-            threshold: cfg
-                .threshold
-                .unwrap_or_else(|| self.engine.min_parallel_cells()),
+            threshold: self.engine.min_parallel_cells(),
             explicit: cfg.workers != 0,
         })
     }
@@ -292,29 +283,6 @@ impl Machine {
     /// Whether the CROW sanitizer / fused replay harness is armed.
     fn validating(&self) -> bool {
         matches!(self.engine.instrumentation(), Instrumentation::Validate)
-    }
-
-    /// Test-only hook for the failure-injection suite: corrupts `cell`'s
-    /// data word right after the next fused generation executes, before the
-    /// replay harness compares states — a seeded kernel mutation the
-    /// harness must report as [`GcaError::KernelDivergence`]. No effect
-    /// unless the machine is fused and validating.
-    #[doc(hidden)]
-    pub fn seed_fused_fault(&mut self, cell: usize) {
-        self.fault = Some(cell);
-    }
-
-    /// Test-only hook for the failure-injection suite: makes the next
-    /// parallel counting broadcast account one boundary cell twice — the
-    /// observable effect of two row partitions overlapping on it. Safe Rust
-    /// makes a real aliasing overlap unrepresentable (`par_chunks_mut`
-    /// hands out disjoint `&mut` slices), so the injectable fault is the
-    /// accounting consequence the replay harness must catch as
-    /// [`GcaError::KernelDivergence`]. No effect unless the machine runs
-    /// [`ExecPath::FusedParallel`] under [`Instrumentation::Validate`].
-    #[doc(hidden)]
-    pub fn seed_partition_fault(&mut self) {
-        self.fused.seed_partition_fault();
     }
 
     /// Test-only hook for the failure-injection suite: arms a one-shot
@@ -351,16 +319,45 @@ impl Machine {
         self.inject.as_ref()
     }
 
+    /// Why a fault of `kind` can never fire on this machine as configured,
+    /// or `None` when it can. The state-corrupting kinds fire on every
+    /// path; the others need the machinery they corrupt: the SWAR
+    /// occupancy plane (stale occupancy), counting fused kernels
+    /// (histogram merge), or a counting broadcast whose generation 1 is
+    /// row-partitioned (duplicated chunk row).
+    pub fn fault_inapplicability(&self, kind: FaultKind) -> Option<&'static str> {
+        let swar = matches!(self.exec, ExecPath::FusedSwar(_));
+        let counting_fused = self.counting() && (swar || self.exec == ExecPath::Fused);
+        let n = self.n();
+        match kind {
+            FaultKind::StaleOccupancy if !swar => {
+                Some("needs the fused-swar path, the only one with an occupancy plane")
+            }
+            FaultKind::CorruptHistogramMerge if !counting_fused => {
+                Some("needs a fused path (fused or fused-swar) that counts reads")
+            }
+            FaultKind::DuplicatedChunkRow
+                if !counting_fused
+                    || plan_rows(self.par_policy(), (n + 1) * n, n + 1, n).is_none() =>
+            {
+                Some(
+                    "needs fused-swar with at least 2 workers on a field whose generation 1 \
+                     row-partitions (n(n+1) cells at or above the engine's parallel threshold)",
+                )
+            }
+            _ => None,
+        }
+    }
+
     /// The degradation-ladder level of the configured execution path —
     /// the coordinate sticky faults compare against (see
     /// [`gca_engine::faults::Persistence::Sticky`]). Higher is more
-    /// optimized: generic 0, fused 1, fused-par 2, fused-swar 3.
+    /// optimized: generic 0, fused 1, fused-swar 2.
     pub fn exec_level(&self) -> u8 {
         match self.exec {
             ExecPath::Generic => 0,
             ExecPath::Fused => 1,
-            ExecPath::FusedParallel(_) => 2,
-            ExecPath::FusedSwar(_) => 3,
+            ExecPath::FusedSwar(_) => 2,
         }
     }
 
@@ -474,7 +471,7 @@ impl Machine {
                 self.torn_pre = self.fused.word_at(plan.cell());
             }
             Some(FaultKind::DuplicatedChunkRow) => {
-                self.fused.seed_partition_fault();
+                self.fused.set_overlap_fault(true);
             }
             _ => {}
         }
@@ -519,9 +516,9 @@ impl Machine {
                 }
             }
             // Armed pre-kernel; the overlap already fired inside the
-            // partitioned broadcast (or expired unobserved if this
-            // generation ran sequentially).
-            FaultKind::DuplicatedChunkRow => {}
+            // partitioned broadcast, or expires unobserved here if this
+            // generation was no partitioned counting broadcast.
+            FaultKind::DuplicatedChunkRow => self.fused.set_overlap_fault(false),
         }
     }
 
@@ -588,13 +585,6 @@ impl Machine {
     fn check_fused_generation(&mut self, ctx: &StepCtx) -> Result<(), GcaError> {
         if !self.validating() {
             return Ok(());
-        }
-        if let Some(cell) = self.fault.take() {
-            if let Some(c) = self.field.states_mut().get_mut(cell) {
-                c.d = c.d.wrapping_add(1);
-                // The AoS field was corrupted behind the SoA mirror.
-                self.soa_valid = false;
-            }
         }
         let Some(v) = self.validator.as_mut() else {
             // Unreachable in practice: `begin_fused_validation` arms the
@@ -1017,7 +1007,6 @@ impl Machine {
         if let Some(v) = self.validator.as_mut() {
             v.engine.reset();
         }
-        self.fault = None;
         self.inv = None;
         self.inv_fault = None;
         Ok(())
@@ -1509,6 +1498,19 @@ mod tests {
         assert_eq!(l.as_slice(), &[0, 0, 0, 0, 0, 0]);
     }
 
+    /// SWAR row-partitioned over `workers` chunks (`0` = auto).
+    fn swar_par(workers: usize) -> ExecPath {
+        ExecPath::FusedSwar(crate::FusedSwar {
+            parallel: Some(crate::FusedParallel::with_workers(workers)),
+        })
+    }
+
+    /// A counting engine whose zero parallel threshold makes every
+    /// generation of a partitioned path split, however small the field.
+    fn eager_par_engine() -> Engine {
+        Engine::sequential().with_min_parallel_cells(0)
+    }
+
     fn fused_test_corpus() -> Vec<AdjacencyMatrix> {
         vec![
             generators::empty(1),
@@ -1677,7 +1679,7 @@ mod tests {
         .with_exec(ExecPath::Fused);
         m.init().unwrap();
         let target = 3; // a square-field cell every iteration writes
-        m.seed_fused_fault(target);
+        m.set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 1, target)));
         let err = m.run_iteration().unwrap_err();
         match err {
             GcaError::KernelDivergence {
@@ -1691,6 +1693,19 @@ mod tests {
             }
             other => panic!("expected KernelDivergence, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dup_row_off_a_broadcast_expires_unobserved() {
+        // Generation 2 (FilterNeighbors) has no counting broadcast to
+        // duplicate a row in: the fault must not linger into generation
+        // 5's broadcast.
+        let g = generators::gnp(12, 0.3, 5);
+        let engine = eager_par_engine().with_instrumentation(Instrumentation::Validate);
+        let mut m = Machine::with_engine(&g, engine).unwrap().with_exec(swar_par(2));
+        m.set_fault_plan(Some(FaultPlan::new(FaultKind::DuplicatedChunkRow, 2, 0)));
+        m.init().unwrap();
+        m.run_iteration().unwrap();
     }
 
     #[test]
@@ -1714,40 +1729,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fused_matches_fused_labels_and_metrics() {
-        use crate::kernels::FusedParallel;
-        // Threshold 0 forces the parallel drivers even on tiny corpus
-        // graphs; workers 0 resolves to the hardware thread count (which
-        // may legitimately be 1 → sequential fallback).
-        for workers in [0usize, 2, 3, 7] {
-            let exec = ExecPath::FusedParallel(FusedParallel {
-                workers,
-                threshold: Some(0),
-            });
-            for g in &fused_test_corpus() {
-                let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
-                let par = HirschbergGca::new().exec(exec).run(g).unwrap();
-                assert_eq!(par.labels, fused.labels, "workers={workers} on {g:?}");
-                assert_eq!(par.generations, fused.generations, "workers={workers}");
-                assert_eq!(
-                    par.metrics.entries(),
-                    fused.metrics.entries(),
-                    "metrics diverge at workers={workers} on {g:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fused_stepwise_reports_match_fused() {
-        use crate::kernels::FusedParallel;
+    fn swar_parallel_stepwise_reports_match_fused() {
         let g = generators::gnp(11, 0.3, 4);
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 3,
-            threshold: Some(0),
-        });
         let mut a = Machine::new(&g).unwrap().with_exec(ExecPath::Fused);
-        let mut b = Machine::new(&g).unwrap().with_exec(exec);
+        let mut b = Machine::with_engine(&g, eager_par_engine())
+            .unwrap()
+            .with_exec(swar_par(3));
         a.init().unwrap();
         let rb = b.init().unwrap();
         assert_eq!(rb.workers, 3, "init must split 12 rows across 3 chunks");
@@ -1766,67 +1753,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fused_auto_threshold_falls_back_on_small_fields() {
+    fn swar_parallel_auto_threshold_falls_back_on_small_fields() {
         // Default threshold (engine tunable, 16 Ki cells): an n=12 field
         // never parallelizes, and the report says so.
         let g = generators::gnp(12, 0.3, 7);
         let expected = union_find_components_dense(&g);
-        let mut m = Machine::new(&g)
-            .unwrap()
-            .with_exec(ExecPath::fused_parallel(4));
+        let mut m = Machine::new(&g).unwrap().with_exec(swar_par(4));
         let rep = m.init().unwrap();
         assert_eq!(rep.workers, 1, "below threshold must fall back");
         for _ in 0..ceil_log2(12) {
             m.run_iteration().unwrap();
         }
         assert_eq!(m.labels().unwrap().as_slice(), expected.as_slice());
-    }
-
-    #[test]
-    fn validate_stays_fused_parallel_and_runs_clean() {
-        use crate::kernels::FusedParallel;
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
-        for g in &fused_test_corpus() {
-            let m = Machine::with_engine(
-                g,
-                Engine::sequential().with_instrumentation(Instrumentation::Validate),
-            )
-            .unwrap()
-            .with_exec(exec);
-            assert!(m.fused_active(), "Validate must stay fused-parallel");
-            let reference = HirschbergGca::new().run(g).unwrap();
-            let validated = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                .exec(exec)
-                .run(g)
-                .unwrap();
-            assert_eq!(validated.labels, reference.labels, "on {g:?}");
-            assert_eq!(validated.generations, reference.generations);
-            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
-        }
-    }
-
-    #[test]
-    fn parallel_fused_composes_with_detect_and_early_exit() {
-        use crate::kernels::FusedParallel;
-        let exec = ExecPath::FusedParallel(FusedParallel {
-            workers: 2,
-            threshold: Some(0),
-        });
-        for seed in 0..4 {
-            let g = generators::gnp(15, 0.25, seed);
-            let expected = union_find_components_dense(&g);
-            let run = HirschbergGca::new()
-                .exec(exec)
-                .convergence(Convergence::Detect)
-                .early_exit(true)
-                .run(&g)
-                .unwrap();
-            assert_eq!(run.labels.as_slice(), expected.as_slice());
-        }
     }
 
     #[test]
@@ -1910,62 +1848,67 @@ mod tests {
 
     #[test]
     fn validate_stays_fused_swar_and_runs_clean() {
-        for g in &fused_test_corpus() {
-            let m = Machine::with_engine(
-                g,
-                Engine::sequential().with_instrumentation(Instrumentation::Validate),
-            )
-            .unwrap()
-            .with_exec(ExecPath::fused_swar());
-            assert!(m.fused_active(), "Validate must stay fused-swar");
-            let reference = HirschbergGca::new().run(g).unwrap();
-            let validated = HirschbergGca::new()
-                .with_engine(Engine::sequential().with_instrumentation(Instrumentation::Validate))
-                .exec(ExecPath::fused_swar())
-                .run(g)
-                .unwrap();
-            assert_eq!(validated.labels, reference.labels, "on {g:?}");
-            assert_eq!(validated.generations, reference.generations);
-            assert_eq!(validated.metrics.entries(), reference.metrics.entries());
+        let engine = eager_par_engine().with_instrumentation(Instrumentation::Validate);
+        for exec in [ExecPath::fused_swar(), swar_par(2)] {
+            for g in &fused_test_corpus() {
+                let m = Machine::with_engine(g, engine.clone())
+                    .unwrap()
+                    .with_exec(exec);
+                assert!(m.fused_active(), "Validate must stay fused-swar");
+                let reference = HirschbergGca::new().run(g).unwrap();
+                let validated = HirschbergGca::new()
+                    .with_engine(engine.clone())
+                    .exec(exec)
+                    .run(g)
+                    .unwrap();
+                assert_eq!(validated.labels, reference.labels, "{exec:?} on {g:?}");
+                assert_eq!(validated.generations, reference.generations);
+                assert_eq!(validated.metrics.entries(), reference.metrics.entries());
+            }
         }
     }
 
     #[test]
     fn swar_composes_with_parallel_chunking() {
-        use crate::kernels::{FusedParallel, FusedSwar};
         // SWAR inside each row chunk: the parallel driver partitions rows,
-        // each chunk runs the word-parallel bodies.
-        let exec = ExecPath::FusedSwar(FusedSwar {
-            parallel: Some(FusedParallel {
-                workers: 3,
-                threshold: Some(0),
-            }),
-        });
-        for g in &fused_test_corpus() {
-            let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
-            let par = HirschbergGca::new().exec(exec).run(g).unwrap();
-            assert_eq!(par.labels, fused.labels, "labels diverge on {g:?}");
-            assert_eq!(par.generations, fused.generations);
-            assert_eq!(
-                par.metrics.entries(),
-                fused.metrics.entries(),
-                "metrics diverge on {g:?}"
-            );
+        // each chunk runs the word-parallel bodies. A zero threshold forces
+        // the partitioned drivers even on tiny corpus graphs; workers 0
+        // resolves to the hardware thread count (which may legitimately be
+        // 1 → sequential fallback).
+        for workers in [0usize, 2, 3, 7] {
+            for g in &fused_test_corpus() {
+                let fused = HirschbergGca::new().exec(ExecPath::Fused).run(g).unwrap();
+                let par = HirschbergGca::new()
+                    .with_engine(eager_par_engine())
+                    .exec(swar_par(workers))
+                    .run(g)
+                    .unwrap();
+                assert_eq!(par.labels, fused.labels, "workers={workers} on {g:?}");
+                assert_eq!(par.generations, fused.generations, "workers={workers}");
+                assert_eq!(
+                    par.metrics.entries(),
+                    fused.metrics.entries(),
+                    "metrics diverge at workers={workers} on {g:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn swar_composes_with_detect_and_early_exit() {
-        for seed in 0..4 {
-            let g = generators::gnp(15, 0.25, seed);
-            let expected = union_find_components_dense(&g);
-            let run = HirschbergGca::new()
-                .exec(ExecPath::fused_swar())
-                .convergence(Convergence::Detect)
-                .early_exit(true)
-                .run(&g)
-                .unwrap();
-            assert_eq!(run.labels.as_slice(), expected.as_slice());
+        for exec in [ExecPath::fused_swar(), swar_par(2)] {
+            for seed in 0..4 {
+                let g = generators::gnp(15, 0.25, seed);
+                let expected = union_find_components_dense(&g);
+                let run = HirschbergGca::new()
+                    .with_engine(eager_par_engine())
+                    .exec(exec)
+                    .convergence(Convergence::Detect)
+                    .early_exit(true)
+                    .run(&g)
+                    .unwrap();
+                assert_eq!(run.labels.as_slice(), expected.as_slice(), "{exec:?}");
+            }
         }
     }
 

@@ -295,7 +295,7 @@ fn component_minima(n: usize, adj: &[bool]) -> Vec<Word> {
 /// One checker instance observes one run. It is armed by
 /// [`Machine`](crate::Machine) whenever the engine runs under
 /// [`Instrumentation::Validate`](gca_engine::Instrumentation::Validate),
-/// on *all* execution paths (generic, fused, fused-parallel, fused-SWAR) —
+/// on *all* execution paths (generic, fused, fused-SWAR) —
 /// the proof model is execution-path-agnostic, so one shadow plane checks
 /// them all.
 #[derive(Clone, Debug)]
@@ -419,8 +419,8 @@ impl InvariantChecker {
         }
         // Refinement: new classes never span two true components.
         let mut class_min = vec![None; n];
-        for v in 0..n {
-            let l = new[v] as usize;
+        for (v, &label) in new.iter().enumerate().take(n) {
+            let l = label as usize;
             if l >= n {
                 continue;
             }
@@ -439,8 +439,8 @@ impl InvariantChecker {
             comp_size[self.true_min[v] as usize] += 1;
         }
         let mut old_size = vec![0usize; n];
-        for v in 0..n {
-            let o = old[v] as usize;
+        for &label in old.iter().take(n) {
+            let o = label as usize;
             if o < n {
                 old_size[o] += 1;
             }
@@ -450,8 +450,8 @@ impl InvariantChecker {
             .count();
         let s_old = old_size.iter().filter(|&&s| s > 0).count();
         let mut seen_new = vec![false; n];
-        for v in 0..n {
-            let l = new[v] as usize;
+        for &label in new.iter().take(n) {
+            let l = label as usize;
             if l < n {
                 seen_new[l] = true;
             }
@@ -550,10 +550,10 @@ mod tests {
         for (gen, sub) in schedule {
             engine.step(&mut field, &rule, gen.number(), sub).unwrap();
             spec = contract_step(n, gen, sub, &adj, &spec);
-            for i in 0..field.len() {
+            for (i, &expected) in spec.iter().enumerate().take(field.len()) {
                 assert_eq!(
                     field.get(i).d,
-                    spec[i],
+                    expected,
                     "cell {i} diverged at {gen:?} sub {sub}"
                 );
             }

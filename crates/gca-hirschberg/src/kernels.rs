@@ -1,5 +1,5 @@
-//! Fused flat-array kernels for the Hirschberg rule ([`ExecPath::Fused`],
-//! [`ExecPath::FusedParallel`] and [`ExecPath::FusedSwar`]).
+//! Fused flat-array kernels for the Hirschberg rule ([`ExecPath::Fused`]
+//! and [`ExecPath::FusedSwar`]).
 //!
 //! The generic engine path evaluates every generation through per-cell
 //! [`gca_engine::GcaRule`] dispatch: each cell re-derives its row/column,
@@ -33,12 +33,13 @@
 //! and reductions run branch-free over whole slices. The dispatch is a
 //! per-kernel function-pointer/closure selection on
 //! `FusedExecutor::set_swar`, so the chunking, accounting and histogram
-//! machinery below is shared verbatim by all three fused paths.
+//! machinery below is shared verbatim by both fused paths.
 //!
 //! **Parallel execution.** Every kernel body is a *row-range function*
 //! (`*_rows` below) over a contiguous slice of whole rows. The sequential
-//! path runs it once over the full range; [`ExecPath::FusedParallel`] runs
-//! the same function over disjoint `par_chunks_mut` row partitions, one
+//! path runs it once over the full range; a partitioned SWAR run
+//! ([`FusedSwar::parallel`]) runs the same function over disjoint
+//! `par_chunks_mut` row partitions, one
 //! `ChunkReport` accumulator per chunk, merged after the join. Because
 //! both paths execute the identical per-cell code and integer counter sums
 //! commute, labels *and* metrics are bit-identical by construction. The
@@ -54,7 +55,7 @@
 //! accumulate compact per-chunk histograms (indexed by the chased label,
 //! `≤ n`) that are folded into the shared histogram after the join.
 //! `tests/property_based.rs` asserts labelings *and* `Counts` metrics are
-//! bit-identical across all three paths; `Instrumentation::Trace` needs
+//! bit-identical across every path, partitioned or not; `Instrumentation::Trace` needs
 //! per-cell access lists only the generic evaluator materializes, so
 //! [`crate::Machine`] falls back to it.
 
@@ -76,13 +77,6 @@ pub enum ExecPath {
     /// [`gca_engine::Instrumentation::Trace`] fall back to the generic path
     /// (access traces require the per-cell evaluator).
     Fused,
-    /// The fused kernels with row-partitioned data parallelism *within* one
-    /// graph (see [`FusedParallel`]). Falls back to sequential kernel
-    /// execution per generation when the touched region is below the
-    /// threshold, exactly like [`gca_engine::Backend::Parallel`] does for
-    /// the generic path. Labels and `Counts` metrics stay bit-identical to
-    /// [`ExecPath::Fused`]; `Trace` falls back to generic like `Fused`.
-    FusedParallel(FusedParallel),
     /// The fused kernels with SWAR (SIMD-within-a-register) row bodies from
     /// the `swar` module: word-skip + `trailing_zeros` walks over the
     /// bit-packed adjacency plane, slice-equality broadcast fast paths and
@@ -97,8 +91,12 @@ pub enum ExecPath {
     FusedSwar(FusedSwar),
 }
 
-/// Configuration of the data-parallel fused path
-/// ([`ExecPath::FusedParallel`]).
+/// Row-partitioned parallelism of the SWAR fused path
+/// ([`FusedSwar::parallel`]). A generation partitions only when its
+/// touched region reaches the engine's tunable
+/// ([`gca_engine::Engine::min_parallel_cells`]), the one fallback knob it
+/// shares with [`gca_engine::Backend::Parallel`]; below it the kernels run
+/// sequentially.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub struct FusedParallel {
     /// Worker (chunk) count; `0` means one per hardware thread
@@ -106,21 +104,12 @@ pub struct FusedParallel {
     /// exactly — even on small fields — so non-power-of-two partitions can
     /// be exercised deterministically.
     pub workers: usize,
-    /// Minimum touched cells per generation before a kernel goes parallel;
-    /// `None` inherits the engine's tunable
-    /// ([`gca_engine::Engine::min_parallel_cells`]), sharing one fallback
-    /// knob with [`gca_engine::Backend::Parallel`].
-    pub threshold: Option<usize>,
 }
 
 impl FusedParallel {
-    /// A configuration with an explicit worker count and the shared engine
-    /// threshold.
+    /// A configuration with an explicit worker count (`0` = auto).
     pub fn with_workers(workers: usize) -> Self {
-        FusedParallel {
-            workers,
-            threshold: None,
-        }
+        FusedParallel { workers }
     }
 }
 
@@ -134,12 +123,6 @@ pub struct FusedSwar {
 }
 
 impl ExecPath {
-    /// Shorthand for [`ExecPath::FusedParallel`] with `workers` workers
-    /// (`0` = auto) and the engine-shared threshold.
-    pub fn fused_parallel(workers: usize) -> Self {
-        ExecPath::FusedParallel(FusedParallel::with_workers(workers))
-    }
-
     /// Shorthand for the sequential [`ExecPath::FusedSwar`] configuration.
     pub fn fused_swar() -> Self {
         ExecPath::FusedSwar(FusedSwar::default())
@@ -353,10 +336,10 @@ impl FusedExecutor {
         self.reads.resize(len, 0);
     }
 
-    /// Arms the seeded partition-overlap fault (see
-    /// [`crate::Machine::seed_partition_fault`]).
-    pub fn seed_partition_fault(&mut self) {
-        self.overlap_fault = true;
+    /// Arms or disarms the partition-overlap fault of a
+    /// [`gca_engine::faults::FaultKind::DuplicatedChunkRow`] plan.
+    pub(crate) fn set_overlap_fault(&mut self, armed: bool) {
+        self.overlap_fault = armed;
     }
 
     /// The data-plane word of linear cell `i`, or `None` when out of

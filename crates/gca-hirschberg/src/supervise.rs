@@ -12,13 +12,13 @@
 //! instrumentation) a metrics log bit-identical to an undisturbed run.
 //!
 //! [`SupervisedMachine`] also carries the **degradation ladder**: the
-//! four execution paths are bit-identical in labels and `Counts`
+//! three execution paths are bit-identical in labels and `Counts`
 //! metrics (a property the test suite and the differential replay
 //! harness enforce), so when a rung keeps diverging the supervisor can
 //! step down
 //!
 //! ```text
-//! fused-swar → fused-par → fused → generic
+//! fused-swar → fused → generic
 //! ```
 //!
 //! and re-execute the faulted span on a less-optimized but
@@ -28,7 +28,7 @@
 //! an optimized kernel's own machinery.
 
 use crate::complexity::ceil_log2;
-use crate::{ExecPath, FusedParallel, HCell, Machine};
+use crate::{ExecPath, HCell, Machine};
 use gca_engine::recovery::{Checkpoint, Recoverable};
 use gca_engine::{Engine, GcaError};
 use gca_graphs::{AdjacencyMatrix, Labeling};
@@ -38,23 +38,16 @@ pub fn rung_name(exec: ExecPath) -> &'static str {
     match exec {
         ExecPath::Generic => "generic",
         ExecPath::Fused => "fused",
-        ExecPath::FusedParallel(_) => "fused-par",
         ExecPath::FusedSwar(_) => "fused-swar",
     }
 }
 
 /// The rung one below `exec` on the degradation ladder, or `None` at
-/// the bottom. A SWAR configuration carrying an inner parallel policy
-/// degrades to that policy (the same worker layout, minus the SWAR row
-/// bodies); a plain SWAR configuration skips to the sequential fused
-/// path — there is no parallel layout to preserve.
+/// the bottom. A SWAR configuration degrades to the sequential fused
+/// path whether or not it was row-partitioned.
 pub fn degraded(exec: ExecPath) -> Option<ExecPath> {
     match exec {
-        ExecPath::FusedSwar(cfg) => Some(match cfg.parallel {
-            Some(par) => ExecPath::FusedParallel(par),
-            None => ExecPath::FusedParallel(FusedParallel::with_workers(0)),
-        }),
-        ExecPath::FusedParallel(_) => Some(ExecPath::Fused),
+        ExecPath::FusedSwar(_) => Some(ExecPath::Fused),
         ExecPath::Fused => Some(ExecPath::Generic),
         ExecPath::Generic => None,
     }
@@ -170,14 +163,14 @@ mod tests {
     }
 
     #[test]
-    fn ladder_walks_all_four_rungs() {
+    fn ladder_walks_all_three_rungs() {
         let mut exec = ExecPath::fused_swar();
         let mut names = vec![rung_name(exec)];
         while let Some(next) = degraded(exec) {
             names.push(rung_name(next));
             exec = next;
         }
-        assert_eq!(names, ["fused-swar", "fused-par", "fused", "generic"]);
+        assert_eq!(names, ["fused-swar", "fused", "generic"]);
     }
 
     #[test]
@@ -235,7 +228,7 @@ mod tests {
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
         assert_eq!(report.initial_rung, "fused-swar");
-        assert_eq!(report.final_rung, "fused-par");
+        assert_eq!(report.final_rung, "fused");
         assert_eq!(report.degradations, 1);
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
     }

@@ -7,7 +7,8 @@ use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::variants::{low_congestion, n_cells};
 use gca_hirschberg::{
-    complexity, iteration_schedule, ExecPath, Gen, HirschbergGca, Machine,
+    complexity, iteration_schedule, ExecPath, FusedParallel, FusedSwar, Gen, HirschbergGca,
+    Machine,
 };
 use proptest::prelude::*;
 
@@ -168,8 +169,8 @@ proptest! {
         }
     }
 
-    /// Three-way execution-path identity: generic, fused, SWAR and
-    /// parallel fused agree on labels, generation counts AND full
+    /// Execution-path identity: generic, fused, SWAR and row-partitioned
+    /// SWAR agree on labels, generation counts AND full
     /// `Counts` metric logs on arbitrary graphs up to one word (n ≤ 64
     /// exercises the packed plane's tail-bit handling). Under `Off` the
     /// SWAR driver additionally runs its fused broadcast+filter pair and
@@ -179,7 +180,9 @@ proptest! {
         let run = |exec: ExecPath, instrumentation: Instrumentation| {
             HirschbergGca::new()
                 .with_engine(
-                    Engine::sequential().with_instrumentation(instrumentation),
+                    Engine::sequential()
+                        .with_instrumentation(instrumentation)
+                        .with_min_parallel_cells(0),
                 )
                 .exec(exec)
                 .run(&g)
@@ -191,7 +194,9 @@ proptest! {
         for exec in [
             ExecPath::Fused,
             ExecPath::fused_swar(),
-            ExecPath::fused_parallel(2),
+            ExecPath::FusedSwar(FusedSwar {
+                parallel: Some(FusedParallel::with_workers(2)),
+            }),
         ] {
             let counted = run(exec, Instrumentation::Counts);
             prop_assert_eq!(counted.labels.as_slice(), expected.as_slice());

@@ -1,5 +1,6 @@
-//! Snapshot/restore and rollback roundtrip properties across all four
-//! execution paths — the state-capture half of the recovery stack.
+//! Snapshot/restore and rollback roundtrip properties across all three
+//! execution paths, SWAR both sequential and row-partitioned — the
+//! state-capture half of the recovery stack.
 //!
 //! The recovery supervisor's correctness rests on one claim: a machine
 //! restored from an iteration-boundary checkpoint and re-run is
@@ -15,7 +16,7 @@ use gca_engine::{Engine, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::AdjacencyMatrix;
 use gca_hirschberg::complexity::ceil_log2;
-use gca_hirschberg::{ExecPath, HCell, Machine};
+use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, HCell, Machine};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -36,17 +37,19 @@ fn arb_graph(min_n: usize, max_n: usize) -> impl Strategy<Value = AdjacencyMatri
 const PATHS: [ExecPath; 4] = [
     ExecPath::Generic,
     ExecPath::Fused,
-    ExecPath::FusedParallel(gca_hirschberg::FusedParallel {
-        workers: 3,
-        threshold: Some(0),
+    ExecPath::FusedSwar(FusedSwar {
+        parallel: Some(FusedParallel { workers: 3 }),
     }),
-    ExecPath::FusedSwar(gca_hirschberg::FusedSwar { parallel: None }),
+    ExecPath::FusedSwar(FusedSwar { parallel: None }),
 ];
 
+/// A counting machine whose zero parallel threshold makes the
+/// partitioned path split every generation, however small the field.
 fn counting_machine(g: &AdjacencyMatrix, exec: ExecPath) -> Machine {
-    Machine::with_engine(g, Engine::sequential().with_instrumentation(Instrumentation::Counts))
-        .unwrap()
-        .with_exec(exec)
+    let engine = Engine::sequential()
+        .with_instrumentation(Instrumentation::Counts)
+        .with_min_parallel_cells(0);
+    Machine::with_engine(g, engine).unwrap().with_exec(exec)
 }
 
 /// Runs `iters` full iterations (after init) and returns the machine.

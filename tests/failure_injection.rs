@@ -2,12 +2,13 @@
 //! not silently tolerate them — bad pointers in GCA rules, access-policy
 //! violations on the PRAM, malformed inputs at the graph layer.
 
+use gca_engine::faults::FaultSpec;
 use gca_engine::{
     Access, CellField, Domain, DomainViolationKind, Engine, FieldShape, GcaError, GcaRule,
     Instrumentation, Reads, StepCtx,
 };
 use gca_graphs::{generators, io, GraphBuilder, GraphError};
-use gca_hirschberg::{ExecPath, FusedParallel, Gen, Machine};
+use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, Gen, Machine};
 use gca_pram::{AccessPolicy, Pram, PramError};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -384,7 +385,7 @@ fn fused_replay_catches_seeded_kernel_mutation() {
     .with_exec(ExecPath::Fused);
     m.init().unwrap();
     let target = 2;
-    m.seed_fused_fault(target);
+    arm_fault(&mut m, &format!("bitflip@1.{target}.0"));
     let err = m.run_iteration().unwrap_err();
     match err {
         GcaError::KernelDivergence { cell, generation, phase } => {
@@ -406,17 +407,16 @@ fn validator_catches_overlapping_parallel_partition() {
     // broadcast, exactly the residue a row double-counted by two workers
     // would leave. The differential replay must pinpoint it.
     let g = generators::gnp(10, 0.4, 21);
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::FusedParallel(FusedParallel {
-        workers: 2,
-        threshold: Some(0),
-    }));
+    // A zero parallel threshold makes the 10-node field partition.
+    let engine = Engine::sequential()
+        .with_instrumentation(Instrumentation::Validate)
+        .with_min_parallel_cells(0);
+    let partitioned = ExecPath::FusedSwar(FusedSwar {
+        parallel: Some(FusedParallel::with_workers(2)),
+    });
+    let mut m = Machine::with_engine(&g, engine.clone()).unwrap().with_exec(partitioned);
     m.init().unwrap();
-    m.seed_partition_fault();
+    arm_fault(&mut m, "dup-row@1");
     let err = m.run_iteration().unwrap_err();
     match err {
         GcaError::KernelDivergence { cell, generation, phase } => {
@@ -429,17 +429,18 @@ fn validator_catches_overlapping_parallel_partition() {
 
     // Without the seeded fault the same parallel configuration replays
     // cleanly — the detector is sensitive, not trigger-happy.
-    let mut m = Machine::with_engine(
-        &g,
-        Engine::sequential().with_instrumentation(Instrumentation::Validate),
-    )
-    .unwrap()
-    .with_exec(ExecPath::FusedParallel(FusedParallel {
-        workers: 2,
-        threshold: Some(0),
-    }));
+    let mut m = Machine::with_engine(&g, engine).unwrap().with_exec(partitioned);
     m.init().unwrap();
     m.run_iteration().unwrap();
+}
+
+/// Arms a `gca-cc --inject`-style fault spec on `m`.
+fn arm_fault(m: &mut Machine, spec: &str) {
+    let total = gca_hirschberg::complexity::total_generations(m.n());
+    let plan = FaultSpec::parse(spec)
+        .unwrap()
+        .resolve(m.field().len(), total, m.exec_level());
+    m.set_fault_plan(Some(plan));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use gca_engine::{
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::{generators, AdjacencyMatrix, Labeling};
 use gca_hirschberg::variants::{low_congestion, n_cells};
-use gca_hirschberg::{complexity, Convergence, ExecPath, FusedParallel, HirschbergGca};
+use gca_hirschberg::{complexity, Convergence, ExecPath, FusedParallel, FusedSwar, HirschbergGca};
 use gca_pram::hirschberg_ref;
 use proptest::prelude::*;
 
@@ -413,10 +413,10 @@ proptest! {
         prop_assert_eq!(fused.metrics.entries(), generic.metrics.entries());
     }
 
-    /// The row-partitioned parallel fused path is bit-identical to BOTH the
+    /// The row-partitioned SWAR path is bit-identical to BOTH the
     /// sequential fused path and the generic path — labels, generation
     /// counts and `Counts` metrics entry for entry — for every worker count
-    /// in a small sweep. `threshold: Some(0)` forces the partitioned
+    /// in a small sweep. A zero engine threshold forces the partitioned
     /// drivers even on these small fields (the auto-fallback would
     /// otherwise make this test vacuous below the engine tunable).
     #[test]
@@ -425,7 +425,8 @@ proptest! {
         let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
         for workers in [2usize, 3, 7] {
             let par = HirschbergGca::new()
-                .exec(ExecPath::FusedParallel(FusedParallel { workers, threshold: Some(0) }))
+                .with_engine(eager_par_engine())
+                .exec(swar_par(workers))
                 .run(&g)
                 .unwrap();
             prop_assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
@@ -444,8 +445,9 @@ proptest! {
             .run(&g)
             .unwrap();
         let par = HirschbergGca::new()
+            .with_engine(eager_par_engine())
             .convergence(Convergence::Detect)
-            .exec(ExecPath::FusedParallel(FusedParallel { workers: 3, threshold: Some(0) }))
+            .exec(swar_par(3))
             .run(&g)
             .unwrap();
         prop_assert_eq!(par.labels.as_slice(), generic.labels.as_slice());
@@ -463,14 +465,22 @@ fn parallel_fused_bit_identical_at_n256() {
     let g = generators::gnp(256, 0.3, 2007);
     let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
     for workers in [0usize, 2, 3, 7] {
-        let par = HirschbergGca::new()
-            .exec(ExecPath::FusedParallel(FusedParallel { workers, threshold: None }))
-            .run(&g)
-            .unwrap();
+        let par = HirschbergGca::new().exec(swar_par(workers)).run(&g).unwrap();
         assert_eq!(par.labels.as_slice(), fused.labels.as_slice(), "workers={workers}");
         assert_eq!(par.generations, fused.generations, "workers={workers}");
         assert_eq!(par.metrics.entries(), fused.metrics.entries(), "workers={workers}");
     }
+}
+
+/// SWAR row-partitioned over `workers` chunks (`0` = auto).
+fn swar_par(workers: usize) -> ExecPath {
+    ExecPath::FusedSwar(FusedSwar { parallel: Some(FusedParallel::with_workers(workers)) })
+}
+
+/// A counting engine whose zero parallel threshold makes every generation
+/// of a partitioned path split, however small the field.
+fn eager_par_engine() -> Engine {
+    Engine::sequential().with_min_parallel_cells(0)
 }
 
 // ---------------------------------------------------------------------------
