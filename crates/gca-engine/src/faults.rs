@@ -54,7 +54,7 @@ pub enum FaultKind {
     DuplicatedChunkRow,
     /// A corrupted per-chunk histogram merge: one cell's read count gains
     /// a phantom increment when worker histograms are folded into the
-    /// shared congestion plane. Meaningful only on fused paths under
+    /// generation's read footprint. Meaningful only on fused paths under
     /// counting instrumentation.
     CorruptHistogramMerge,
 }

@@ -165,6 +165,50 @@ impl GenerationMetrics {
             congestion_groups: distinct.into_iter().collect(),
         }
     }
+
+    /// Assembles the metrics of a field of `len` cells from its δ groups
+    /// alone: each `(δ, cells)` pair books `cells` further distinct cells
+    /// read exactly δ times (a δ may repeat across pairs; δ = 0 pairs
+    /// are ignored), and every cell no pair books forms the δ = 0 group.
+    ///
+    /// Equal to [`GenerationMetrics::from_read_counts`] over any
+    /// per-target count slice of length `len` with those groups, at
+    /// O(pairs) cost instead of O(len): a kernel that knows its read
+    /// footprint in closed form never materializes the dense plane.
+    pub fn from_read_groups(
+        ctx: StepCtx,
+        active_cells: usize,
+        len: usize,
+        groups: impl IntoIterator<Item = (u32, usize)>,
+    ) -> Self {
+        let mut congestion_groups = BTreeMap::new();
+        for (r, cells) in groups {
+            if r > 0 && cells > 0 {
+                *congestion_groups.entry(r).or_insert(0) += cells;
+            }
+        }
+        let cells_read: usize = congestion_groups.values().sum();
+        let total_reads = congestion_groups
+            .iter()
+            .map(|(&r, &cells)| u64::from(r) * cells as u64)
+            .sum();
+        let max_congestion = congestion_groups.keys().next_back().copied().unwrap_or(0);
+        debug_assert!(
+            cells_read <= len,
+            "groups book more cells than the field has"
+        );
+        if len > cells_read {
+            congestion_groups.insert(0, len - cells_read);
+        }
+        GenerationMetrics {
+            ctx,
+            active_cells,
+            total_reads,
+            cells_read,
+            max_congestion,
+            congestion_groups,
+        }
+    }
 }
 
 /// An append-only log of [`GenerationMetrics`] across a run, with the
@@ -309,6 +353,27 @@ mod tests {
             let via_counts = GenerationMetrics::from_read_counts(ctx(), 9, &reads);
             assert_eq!(via_hist, via_counts, "reads = {reads:?}");
         }
+    }
+
+    #[test]
+    fn from_read_groups_equals_from_read_counts() {
+        for reads in [
+            vec![],
+            vec![0u32, 0, 0],
+            vec![3, 0, 1, 1, 7, 3, 0],
+            vec![5; 64],
+        ] {
+            // One pair per cell, in cell order: the least compressed input.
+            let per_cell = reads.iter().map(|&r| (r, 1));
+            let via_groups = GenerationMetrics::from_read_groups(ctx(), 9, reads.len(), per_cell);
+            let via_counts = GenerationMetrics::from_read_counts(ctx(), 9, &reads);
+            assert_eq!(via_groups, via_counts, "reads = {reads:?}");
+        }
+        // Repeated δ and empty pairs fold into one group each.
+        let groups = [(3, 1), (0, 4), (3, 1), (1, 2), (7, 0), (7, 1)];
+        let via_groups = GenerationMetrics::from_read_groups(ctx(), 9, 7, groups);
+        let via_counts = GenerationMetrics::from_read_counts(ctx(), 9, &[3, 0, 1, 1, 7, 3, 0]);
+        assert_eq!(via_groups, via_counts);
     }
 
     #[test]

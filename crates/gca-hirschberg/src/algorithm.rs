@@ -1,6 +1,6 @@
 use crate::complexity::{ceil_log2, total_generations};
 use crate::invariants::{InvariantChecker, InvariantClass};
-use crate::kernels::{plan_rows, FusedExecutor, KernelReport, ParPolicy};
+use crate::kernels::{plan_rows, FusedExecutor, KernelReport, ParPolicy, ReadSet};
 use crate::{iteration_schedule, ExecPath, Gen, HCell, HirschbergRule, Layout, SwarSchedule};
 use gca_engine::faults::{FaultKind, FaultPlan};
 use gca_engine::metrics::{CongestionHistogram, GenerationMetrics, MetricsLog};
@@ -105,6 +105,9 @@ pub struct Machine {
 struct FusedValidator {
     engine: Engine,
     shadow: CellField<HCell>,
+    /// The kernel's read footprint materialized as a dense per-target
+    /// plane — the only place a fused run holds one.
+    reads: Vec<u32>,
 }
 
 impl Machine {
@@ -455,9 +458,7 @@ impl Machine {
     }
 
     /// Pre-kernel half of the fused-path injection hook. Runs after
-    /// `ensure_soa`, so captures see the authoritative SoA mirror.
-    /// Duplicated-chunk-row faults arm here (the overlap fires *inside*
-    /// the kernel's partitioned counting broadcast); everything else only
+    /// `ensure_soa`, so captures see the authoritative SoA mirror; it only
     /// captures pre-state.
     fn arm_fused_fault(&mut self, generation: u64) {
         let Some(plan) = self.inject.as_ref() else {
@@ -470,9 +471,6 @@ impl Machine {
             Some(FaultKind::TornWrite) => {
                 self.torn_pre = self.fused.word_at(plan.cell());
             }
-            Some(FaultKind::DuplicatedChunkRow) => {
-                self.fused.set_overlap_fault(true);
-            }
             _ => {}
         }
     }
@@ -483,12 +481,12 @@ impl Machine {
     /// a hardware fault between kernel and commit would land. Detection
     /// is the replay harness ([`GcaError::KernelDivergence`]) under
     /// [`Instrumentation::Validate`].
-    fn apply_fused_fault(&mut self, generation: u64) {
+    fn apply_fused_fault(&mut self, ctx: &StepCtx, rep: &KernelReport) {
         let level = self.exec_level();
         let Some(plan) = self.inject.as_mut() else {
             return;
         };
-        let Some(kind) = plan.fire(generation, level) else {
+        let Some(kind) = plan.fire(ctx.generation, level) else {
             return;
         };
         let cell = plan.cell();
@@ -515,10 +513,23 @@ impl Machine {
                     self.fused.bump_read(cell);
                 }
             }
-            // Armed pre-kernel; the overlap already fired inside the
-            // partitioned broadcast, or expires unobserved here if this
-            // generation was no partitioned counting broadcast.
-            FaultKind::DuplicatedChunkRow => self.fused.set_overlap_fault(false),
+            FaultKind::DuplicatedChunkRow => {
+                // Account the first column-0 cell once more, exactly what
+                // an off-by-one row partition (two chunks both covering
+                // row 0) would have produced. Safe Rust makes a real
+                // aliasing overlap unrepresentable (`par_chunks_mut` hands
+                // out disjoint `&mut` slices), so the injectable fault is
+                // the accounting effect the replay harness must flag as
+                // `KernelDivergence`. Off a partitioned counting broadcast
+                // the fault expires unobserved.
+                let broadcast = matches!(
+                    Gen::from_number(ctx.phase),
+                    Some(Gen::BroadcastC | Gen::BroadcastT)
+                );
+                if counting && broadcast && rep.workers > 1 {
+                    self.fused.bump_read(0);
+                }
+            }
         }
     }
 
@@ -564,6 +575,7 @@ impl Machine {
             self.validator = Some(FusedValidator {
                 engine: Engine::sequential().with_instrumentation(Instrumentation::Validate),
                 shadow: self.field.clone(),
+                reads: Vec::new(),
             });
         }
         let Some(v) = self.validator.as_mut() else {
@@ -580,9 +592,14 @@ impl Machine {
     /// The differential check: replays the generation the fused kernel just
     /// executed through the reference engine (running the CROW sanitizer)
     /// on the shadow copy, then compares next-states and read histograms
-    /// cell by cell. The first disagreeing cell is reported as
-    /// [`GcaError::KernelDivergence`]. No-op unless validating.
-    fn check_fused_generation(&mut self, ctx: &StepCtx) -> Result<(), GcaError> {
+    /// cell by cell (the kernel's `footprint` materialized into the
+    /// validator's scratch plane). The first disagreeing cell is reported
+    /// as [`GcaError::KernelDivergence`]. No-op unless validating.
+    fn check_fused_generation(
+        &mut self,
+        ctx: &StepCtx,
+        footprint: ReadSet,
+    ) -> Result<(), GcaError> {
         if !self.validating() {
             return Ok(());
         }
@@ -609,10 +626,8 @@ impl Machine {
             return Err(diverged(cell));
         }
         if let Some(hist) = rep.congestion.as_ref() {
-            let kernel = self.fused.reads();
-            if let Some(cell) =
-                (0..self.field.len()).find(|&i| hist.reads_of(i) != kernel[i])
-            {
+            self.fused.write_reads(footprint, &mut v.reads);
+            if let Some(cell) = (0..self.field.len()).find(|&i| hist.reads_of(i) != v.reads[i]) {
                 return Err(diverged(cell));
             }
         }
@@ -628,13 +643,14 @@ impl Machine {
     }
 
     /// Books one successfully executed fused generation: advances the
-    /// engine's generation counter and appends the metrics entry, exactly as
-    /// an engine-executed step would.
-    fn fused_commit(&mut self, ctx: StepCtx, active: usize) {
+    /// engine's generation counter and appends the metrics entry — built
+    /// from the kernel's closed-form read footprint — exactly as an
+    /// engine-executed step would.
+    fn fused_commit(&mut self, ctx: StepCtx, rep: &KernelReport) {
         self.engine.advance_generation();
         if self.counting() {
             self.metrics
-                .push(GenerationMetrics::from_read_counts(ctx, active, self.fused.reads()));
+                .push(self.fused.generation_metrics(ctx, rep.active, rep.footprint));
         }
     }
 
@@ -649,13 +665,18 @@ impl Machine {
         self.ensure_soa();
         self.arm_fused_fault(ctx.generation);
         let rep = self.fused.step(&ctx, counting, par)?;
-        self.apply_fused_fault(ctx.generation);
+        self.apply_fused_fault(&ctx, &rep);
         // The single-step API keeps the public field authoritative after
         // every generation (callers inspect it between steps).
         self.fused.store_d(&mut self.field);
-        self.check_fused_generation(&ctx)?;
+        self.check_fused_generation(&ctx, rep.footprint)?;
         self.check_invariants(&ctx)?;
-        self.fused_commit(ctx, rep.active);
+        self.fused_commit(ctx, &rep);
+        let congestion = counting.then(|| {
+            let mut reads = Vec::new();
+            self.fused.write_reads(rep.footprint, &mut reads);
+            CongestionHistogram::from_reads(reads)
+        });
         Ok(StepReport {
             ctx,
             active_cells: rep.active,
@@ -663,8 +684,7 @@ impl Machine {
             changed_cells: rep.changed,
             evaluated_cells: rep.evaluated,
             workers: rep.workers,
-            congestion: counting
-                .then(|| CongestionHistogram::from_reads(self.fused.reads().to_vec())),
+            congestion,
             accesses: None,
         })
     }
@@ -744,16 +764,16 @@ impl Machine {
         self.ensure_soa();
         self.arm_fused_fault(ctx.generation);
         let rep = self.fused.step(&ctx, counting, par)?;
-        self.apply_fused_fault(ctx.generation);
+        self.apply_fused_fault(&ctx, &rep);
         if self.validating() {
             // The replay harness compares against the field, so each
             // validated generation writes back immediately; the plain hot
             // loop defers the writeback to the iteration boundary.
             self.fused.store_d(&mut self.field);
-            self.check_fused_generation(&ctx)?;
+            self.check_fused_generation(&ctx, rep.footprint)?;
             self.check_invariants(&ctx)?;
         }
-        self.fused_commit(ctx, rep.active);
+        self.fused_commit(ctx, &rep);
         Ok(rep)
     }
 
@@ -802,18 +822,16 @@ impl Machine {
 
     /// Whether the batched driver may fuse each broadcast with the filter
     /// that immediately follows it (generations 1+2 and 5+6). Requires the
-    /// SWAR path *and* an unobservable intermediate state: under counting
-    /// the two generations report separate read footprints, and under
+    /// SWAR path *and* an unobservable intermediate state: under
     /// validation the replay harness compares the field after every
-    /// generation — both must see the broadcast materialized. An armed
-    /// fault plan also disables the fusion: fault coordinates address
-    /// individual committed generations, so every generation must
+    /// generation, so it must see the broadcast materialized. Counting
+    /// does not stand in the way: both generations' read footprints are
+    /// static, and the fused sweep reports each one's closed form. An
+    /// armed fault plan also disables the fusion: fault coordinates
+    /// address individual committed generations, so every generation must
     /// materialize as an injection site.
     fn fuse_broadcast_filter(&self) -> bool {
-        matches!(self.exec, ExecPath::FusedSwar(_))
-            && !self.counting()
-            && !self.validating()
-            && self.inject.is_none()
+        matches!(self.exec, ExecPath::FusedSwar(_)) && !self.validating() && self.inject.is_none()
     }
 
     /// Runs one fused broadcast+filter pair (generations 1+2 for
@@ -829,11 +847,11 @@ impl Machine {
             (Gen::BroadcastC, Gen::FilterNeighbors)
         };
         let ctx_b = self.fused_ctx(g_b, 0);
-        self.fused_commit(ctx_b, bcast.active);
+        self.fused_commit(ctx_b, &bcast);
         // The second ctx is built after the first commit so its generation
         // number advances exactly as under separate ticks.
         let ctx_f = self.fused_ctx(g_f, 0);
-        self.fused_commit(ctx_f, filter.active);
+        self.fused_commit(ctx_f, &filter);
     }
 
     /// The fused iteration: identical `(generation, sub-generation)`
@@ -925,13 +943,10 @@ impl Machine {
         let mut executed = 0u64;
         let mut failure = None;
         for s in 0..subgens {
-            if counting {
-                self.fused.reset_reads(self.field.len());
-            }
             let ctx = self.fused_ctx(Gen::PointerJump, s);
             match self.fused.jump_once(&ctx, counting, par) {
                 Ok(rep) => {
-                    self.fused_commit(ctx, rep.active);
+                    self.fused_commit(ctx, &rep);
                     executed += 1;
                     if self.convergence == Convergence::Detect && rep.changed == 0 {
                         break;
@@ -1830,6 +1845,37 @@ mod tests {
             }
         }
         assert_eq!(a.labels().unwrap(), b.labels().unwrap());
+    }
+
+    #[test]
+    fn counting_batched_driver_fuses_broadcast_filter_like_stepwise() {
+        // Under Counts the batched SWAR driver now takes the fused
+        // broadcast+filter sweep (its closed-form footprints replace the
+        // per-generation recount); its log must equal the single-step
+        // API's, which materializes every generation separately — also
+        // when the sweep itself row-partitions.
+        for exec in [ExecPath::fused_swar(), swar_par(2)] {
+            for g in [generators::gnp(70, 0.08, 21), generators::star(9)] {
+                let n = g.n();
+                let mut batched = Machine::with_engine(&g, eager_par_engine())
+                    .unwrap()
+                    .with_exec(exec);
+                let mut stepwise = Machine::with_engine(&g, eager_par_engine())
+                    .unwrap()
+                    .with_exec(exec);
+                assert!(batched.counting() && batched.fuse_broadcast_filter());
+                batched.init().unwrap();
+                stepwise.init().unwrap();
+                batched.run_iterations(u64::from(ceil_log2(n))).unwrap();
+                for _ in 0..ceil_log2(n) {
+                    for (gen, sub) in iteration_schedule(n) {
+                        stepwise.step(gen, sub).unwrap();
+                    }
+                }
+                assert_eq!(batched.metrics.entries(), stepwise.metrics.entries());
+                assert_eq!(batched.labels().unwrap(), stepwise.labels().unwrap());
+            }
+        }
     }
 
     #[test]

@@ -48,12 +48,15 @@
 //!
 //! **Metrics contract.** Every kernel produces the exact counters the
 //! generic path produces: active cells per Table 1, total reads, changed
-//! cells (the convergence signal), and — when counting — the per-target
-//! read histogram in `FusedExecutor::reads`. Statically addressed phases
-//! recount their histogram in a data-independent pass on the calling
-//! thread; the data-dependent pointer chases (generations 10 and 11)
-//! accumulate compact per-chunk histograms (indexed by the chased label,
-//! `≤ n`) that are folded into the shared histogram after the join.
+//! cells (the convergence signal), and its read footprint as a `ReadSet`
+//! — never a dense n(n+1) count plane. Statically addressed phases
+//! (generations 1–9) emit a closed form: one δ over a strided grid of
+//! target cells. The data-dependent pointer chases (generations 10 and
+//! 11) accumulate compact per-chunk histograms (indexed by the chased
+//! label, `≤ n`) that are merged slot by slot after the join.
+//! `FusedExecutor::generation_metrics` turns a footprint into Table-1
+//! metrics in O(1) (static) or O(n) (chases); the dense plane is
+//! materialized only for the `Validate` replay and the single-step API.
 //! `tests/property_based.rs` asserts labelings *and* `Counts` metrics are
 //! bit-identical across every path, partitioned or not; `Instrumentation::Trace` needs
 //! per-cell access lists only the generic evaluator materializes, so
@@ -61,6 +64,7 @@
 
 use crate::hfield::{a_bit, HField};
 use crate::{swar, Gen, HCell};
+use gca_engine::metrics::GenerationMetrics;
 use gca_engine::{AdjWord, CellField, GcaError, StepCtx, Word, INFINITY, WORD_BITS};
 use rayon::prelude::*;
 
@@ -174,8 +178,63 @@ pub fn plan_rows(
     (rows.div_ceil(rows_per) >= 2).then_some(rows_per)
 }
 
+/// Where one fused generation read, in closed form: the compact stand-in
+/// for a dense n(n+1) per-target read-count plane (Table 1's congestion
+/// histogram), which only [`FusedExecutor::write_reads`] materializes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum ReadSet {
+    /// No reads (generation 0, or an empty field).
+    #[default]
+    None,
+    /// Statically addressed (generations 1–9): in each of the `rows`
+    /// field rows from `row` on, the `per_row` cells at columns
+    /// `col + k·step` are read exactly `delta` times each.
+    Grid {
+        row: usize,
+        rows: usize,
+        col: usize,
+        step: usize,
+        per_row: usize,
+        delta: u32,
+    },
+    /// A data-dependent chase (generations 10 and 11): slot `d` of the
+    /// executor's merged label histogram counts the reads of cell
+    /// `d·n + col`.
+    Chase { col: usize },
+}
+
+impl ReadSet {
+    /// Column 0 of the `n` square rows, each cell read `delta` times —
+    /// the broadcast and copy generations' source column.
+    fn column0(n: usize, delta: usize) -> Self {
+        ReadSet::Grid {
+            row: 0,
+            rows: n,
+            col: 0,
+            step: 1,
+            per_row: 1,
+            // delta ≤ n + 1 and the layout caps n below u32::MAX.
+            delta: delta as u32, // gca-lint: allow(truncating-cast)
+        }
+    }
+
+    /// The `D_N` row (row `n`), each cell read `delta` times — the filter
+    /// and resolve generations' saved labels.
+    fn dn_row(n: usize, delta: usize) -> Self {
+        ReadSet::Grid {
+            row: n,
+            rows: 1,
+            col: 0,
+            step: 1,
+            per_row: n,
+            // delta ≤ n and the layout caps n below u32::MAX.
+            delta: delta as u32, // gca-lint: allow(truncating-cast)
+        }
+    }
+}
+
 /// Counters of one fused generation — the kernel-side mirror of
-/// [`gca_engine::StepReport`]'s counter fields.
+/// [`gca_engine::StepReport`]'s counter fields, plus its read footprint.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct KernelReport {
     /// Cells that performed a calculation (Table 1's activity column).
@@ -189,16 +248,21 @@ pub(crate) struct KernelReport {
     /// Worker chunks that executed the kernel (`1` = sequential, including
     /// the below-threshold auto-fallback).
     pub workers: usize,
+    /// Which cells were read how often ([`FusedExecutor::generation_metrics`]).
+    pub footprint: ReadSet,
 }
 
 impl KernelReport {
-    fn sequential(active: usize, reads: u64, changed: usize) -> Self {
+    /// A report of `active` cells that each issue exactly one read and
+    /// are the only cells evaluated.
+    fn uniform(active: usize, changed: usize, workers: usize, footprint: ReadSet) -> Self {
         KernelReport {
             active,
-            reads,
+            reads: active as u64,
             changed,
             evaluated: active,
-            workers: 1,
+            workers,
+            footprint,
         }
     }
 }
@@ -241,7 +305,9 @@ fn chunk_slots(
 /// Owned by [`crate::Machine`]; all buffers (including the [`HField`] SoA
 /// mirror of the machine's field) are allocated once and reused, so fused
 /// steady-state stepping performs no allocation (under
-/// `Instrumentation::Off`) beyond what the metrics log itself appends.
+/// `Instrumentation::Off` and `Instrumentation::Counts` alike) beyond what
+/// the metrics log itself appends. Read accounting never materializes the
+/// n(n+1) count plane: each kernel reports its [`ReadSet`] in closed form.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FusedExecutor {
     n: usize,
@@ -253,9 +319,12 @@ pub(crate) struct FusedExecutor {
     labels: Vec<Word>,
     /// The "pong" label buffer of pointer jumping.
     labels_next: Vec<Word>,
-    /// Per-target read counts of the last executed generation (the Table-1
-    /// congestion histogram), filled when counting.
-    reads: Vec<u32>,
+    /// The merged per-label read histogram of the last counting chase
+    /// kernel ([`ReadSet::Chase`]), `n + 1` slots.
+    hist: Vec<u32>,
+    /// Reads booked behind the kernels' back since the last kernel ran
+    /// ([`FusedExecutor::bump_read`]), one entry per extra read.
+    bumps: Vec<usize>,
     /// Per-chunk accumulators of the parallel path.
     chunks: Vec<ChunkReport>,
     /// Route row bodies through the SWAR kernels of [`crate::swar`]
@@ -274,11 +343,6 @@ pub(crate) struct FusedExecutor {
     /// SoA reload) invalidates it, dropping the reductions back to their
     /// occupancy-free bodies.
     occ_valid: bool,
-    /// Test-only seeded fault: the next *parallel counting* broadcast
-    /// accounts one boundary cell as if two adjacent row partitions
-    /// overlapped on it, so the replay harness can prove it catches a
-    /// mispartitioned kernel.
-    overlap_fault: bool,
 }
 
 impl FusedExecutor {
@@ -291,13 +355,13 @@ impl FusedExecutor {
             hfield,
             labels: Vec::with_capacity(n),
             labels_next: vec![0; n],
-            reads: Vec::new(),
+            hist: Vec::new(),
+            bumps: Vec::new(),
             chunks: Vec::new(),
             swar: false,
             member_mask: Vec::new(),
             occ,
             occ_valid: false,
-            overlap_fault: false,
         }
     }
 
@@ -322,24 +386,75 @@ impl FusedExecutor {
         self.hfield.store_d(field);
     }
 
-    /// Per-target read counts of the last kernel executed with
-    /// `counting = true` (empty otherwise).
-    pub fn reads(&self) -> &[u32] {
-        &self.reads
+    /// The Table-1 metrics of the last kernel, whose report carried
+    /// `footprint`: O(1) from the closed form of a static generation,
+    /// O(n) from a chase's label histogram. Equal to
+    /// [`GenerationMetrics::from_read_counts`] over the plane
+    /// [`FusedExecutor::write_reads`] materializes. A generation whose
+    /// footprint a fault surface bumped (fault injection only) takes that
+    /// dense route itself.
+    pub fn generation_metrics(
+        &self,
+        ctx: StepCtx,
+        active: usize,
+        footprint: ReadSet,
+    ) -> GenerationMetrics {
+        let len = self.hfield.d.len();
+        if !self.bumps.is_empty() {
+            let mut reads = Vec::new();
+            self.write_reads(footprint, &mut reads);
+            return GenerationMetrics::from_read_counts(ctx, active, &reads);
+        }
+        match footprint {
+            ReadSet::None => GenerationMetrics::from_read_groups(ctx, active, len, []),
+            ReadSet::Grid {
+                rows,
+                per_row,
+                delta,
+                ..
+            } => GenerationMetrics::from_read_groups(ctx, active, len, [(delta, rows * per_row)]),
+            ReadSet::Chase { .. } => {
+                let slots = self.hist.iter().map(|&c| (c, 1));
+                GenerationMetrics::from_read_groups(ctx, active, len, slots)
+            }
+        }
     }
 
-    /// Zero-fills the read-count scratch for a directly driven kernel call
-    /// ([`FusedExecutor::jump_once`]); [`FusedExecutor::step`] does this
-    /// itself.
-    pub fn reset_reads(&mut self, len: usize) {
-        self.reads.clear();
-        self.reads.resize(len, 0);
-    }
-
-    /// Arms or disarms the partition-overlap fault of a
-    /// [`gca_engine::faults::FaultKind::DuplicatedChunkRow`] plan.
-    pub(crate) fn set_overlap_fault(&mut self, armed: bool) {
-        self.overlap_fault = armed;
+    /// Materializes the dense per-target read counts of the last kernel
+    /// (whose report carried `footprint`, plus any fault bumps) into `out`,
+    /// reusing its allocation — for the per-cell replay comparison and the
+    /// single-step API's owned congestion histogram only.
+    pub fn write_reads(&self, footprint: ReadSet, out: &mut Vec<u32>) {
+        let n = self.n;
+        out.clear();
+        out.resize(self.hfield.d.len(), 0);
+        match footprint {
+            ReadSet::None => {}
+            ReadSet::Grid {
+                row,
+                rows,
+                col,
+                step,
+                per_row,
+                delta,
+            } => {
+                for r in row..row + rows {
+                    for k in 0..per_row {
+                        out[r * n + col + k * step] = delta;
+                    }
+                }
+            }
+            ReadSet::Chase { col } => {
+                for (d, &c) in self.hist.iter().enumerate() {
+                    if c > 0 {
+                        out[d * n + col] = c;
+                    }
+                }
+            }
+        }
+        for &i in &self.bumps {
+            out[i] += 1;
+        }
     }
 
     /// The data-plane word of linear cell `i`, or `None` when out of
@@ -386,13 +501,14 @@ impl FusedExecutor {
             !(1 << (col % WORD_BITS));
     }
 
-    /// Increments the read-count of cell `i` behind the kernels' back —
-    /// the corrupted-histogram-merge fault surface (a chunk's congestion
-    /// accumulator folded in twice). No-op when the scratch is not sized
-    /// (non-counting step) or `i` is out of range.
+    /// Books one more read of cell `i` behind the kernels' back — the
+    /// fault surface of a corrupted histogram merge (a chunk's congestion
+    /// accumulator folded in twice) and of a duplicated chunk row.
+    /// Counted into the last kernel's footprint until the next kernel
+    /// runs; no-op when `i` is out of range.
     pub fn bump_read(&mut self, i: usize) {
-        if let Some(r) = self.reads.get_mut(i) {
-            *r += 1;
+        if i < self.hfield.d.len() {
+            self.bumps.push(i);
         }
     }
 
@@ -410,10 +526,7 @@ impl FusedExecutor {
         let gen = Gen::from_number(ctx.phase)
             .unwrap_or_else(|| panic!("invalid Hirschberg phase {}", ctx.phase));
         let n = self.n;
-        self.reads.clear();
-        if counting {
-            self.reads.resize(self.hfield.d.len(), 0);
-        }
+        self.bumps.clear();
         if n == 0 {
             return Ok(KernelReport {
                 workers: 1,
@@ -427,25 +540,25 @@ impl FusedExecutor {
         self.occ_valid = false;
         match gen {
             Gen::Init => Ok(self.init(par)),
-            Gen::BroadcastC => Ok(self.broadcast(counting, true, par)),
+            Gen::BroadcastC => Ok(self.broadcast(true, par)),
             Gen::FilterNeighbors => {
-                let rep = self.filter_neighbors(counting, par);
+                let rep = self.filter_neighbors(par);
                 self.occ_valid = self.swar;
                 Ok(rep)
             }
             Gen::MinReduce | Gen::MinReduceMembers => {
-                let rep = self.min_reduce(ctx.subgeneration, counting, occ_was_valid, par);
+                let rep = self.min_reduce(ctx.subgeneration, occ_was_valid, par);
                 self.occ_valid = self.swar && occ_was_valid;
                 Ok(rep)
             }
-            Gen::ResolveIsolated | Gen::ResolveMembers => Ok(self.resolve(counting, par)),
-            Gen::BroadcastT => Ok(self.broadcast(counting, false, par)),
+            Gen::ResolveIsolated | Gen::ResolveMembers => Ok(self.resolve(par)),
+            Gen::BroadcastT => Ok(self.broadcast(false, par)),
             Gen::FilterMembers => {
-                let rep = self.filter_members(counting, par);
+                let rep = self.filter_members(par);
                 self.occ_valid = self.swar;
                 Ok(rep)
             }
-            Gen::CopyAndSaveT => Ok(self.copy_and_save_t(counting, par)),
+            Gen::CopyAndSaveT => Ok(self.copy_and_save_t(par)),
             Gen::PointerJump => {
                 self.gather_labels();
                 let rep = self.jump_once(ctx, counting, par)?;
@@ -488,18 +601,14 @@ impl FusedExecutor {
             changed,
             evaluated: touched,
             workers,
+            footprint: ReadSet::None,
         }
     }
 
     /// Generations 1 and 5: fill every row with the gathered column-0
     /// vector. Generation 1 (`include_dn`) also overwrites `D_N` (saving
     /// `C`); generation 5 leaves `D_N` on its saved copy.
-    fn broadcast(
-        &mut self,
-        counting: bool,
-        include_dn: bool,
-        par: Option<ParPolicy>,
-    ) -> KernelReport {
+    fn broadcast(&mut self, include_dn: bool, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         self.labels.clear();
         {
@@ -526,30 +635,7 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for col in 0..n {
-                // rows ≤ n + 1 and the layout caps n below u32::MAX.
-                self.reads[col * n] += rows as u32; // gca-lint: allow(truncating-cast)
-            }
-            if workers > 1 && self.overlap_fault {
-                // Seeded fault: account the first column-0 cell once more,
-                // exactly what an off-by-one row partition (two chunks both
-                // covering row 0) would have produced. Safe Rust makes a
-                // real aliasing overlap unrepresentable (`par_chunks_mut`
-                // hands out disjoint `&mut` slices), so the injectable
-                // fault is the accounting effect the replay harness must
-                // flag as `KernelDivergence`.
-                self.overlap_fault = false;
-                self.reads[0] += 1;
-            }
-        }
-        KernelReport {
-            active: touched,
-            reads: touched as u64,
-            changed,
-            evaluated: touched,
-            workers,
-        }
+        KernelReport::uniform(touched, changed, workers, ReadSet::column0(n, rows))
     }
 
     /// Fused broadcast + filter: generations 1+2 (`members = false`) or
@@ -557,10 +643,10 @@ impl FusedExecutor {
     /// load+store per cell instead of the broadcast's store pass plus the
     /// filter's load+store pass. SWAR-only, and only reached from the
     /// batched driver when the post-broadcast intermediate state is
-    /// unobservable (instrumentation off, no validation, no
-    /// single-stepping): per-generation read accounting is not produced
-    /// here. The returned pair carries the two generations' reports with
-    /// the exact `changed` counts the separate passes produce (see
+    /// unobservable (no validation, no fault plan, no single-stepping).
+    /// Both generations are statically addressed, so the returned pair
+    /// carries each one's closed-form read footprint alongside the exact
+    /// `changed` counts the separate passes produce (see
     /// [`swar::broadcast_filter_neighbor_rows`]).
     pub(crate) fn broadcast_filter(
         &mut self,
@@ -568,6 +654,7 @@ impl FusedExecutor {
         par: Option<ParPolicy>,
     ) -> (KernelReport, KernelReport) {
         debug_assert!(self.swar, "fused broadcast+filter is a SWAR body");
+        self.bumps.clear();
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         self.labels.clear();
@@ -640,27 +727,17 @@ impl FusedExecutor {
         // The filter half wrote an exact occupancy plane, exactly as the
         // separate SWAR filter generation would have.
         self.occ_valid = true;
-        let bcast = KernelReport {
-            active: bcast_rows * n,
-            reads: (bcast_rows * n) as u64,
-            changed: b_changed,
-            evaluated: bcast_rows * n,
-            workers,
-        };
-        let filter = KernelReport {
-            active: n * n,
-            reads: (n * n) as u64,
-            changed: f_changed,
-            evaluated: n * n,
-            workers,
-        };
-        (bcast, filter)
+        let bcast = ReadSet::column0(n, bcast_rows);
+        (
+            KernelReport::uniform(bcast_rows * n, b_changed, workers, bcast),
+            KernelReport::uniform(n * n, f_changed, workers, ReadSet::dn_row(n, n)),
+        )
     }
 
     /// Generation 2: keep `d = C(col)` only where an edge connects `row` to
     /// `col` and the endpoints are in different components (`d ≠ C(row)`,
     /// with `C(row)` read from `D_N`); else `∞`.
-    fn filter_neighbors(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn filter_neighbors(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let swar = self.swar;
@@ -694,32 +771,14 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[n * n + row] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
-        KernelReport {
-            active: n * n,
-            reads: (n * n) as u64,
-            changed,
-            evaluated: n * n,
-            workers,
-        }
+        KernelReport::uniform(n * n, changed, workers, ReadSet::dn_row(n, n))
     }
 
     /// Generations 3 and 7, one sub-generation: every participating cell
     /// (`col ≡ 0 (mod 2^{s+1})`, `col + 2^s < n`) folds in the cell `2^s` to
     /// its right. In place: written and read columns are disjoint, and both
     /// stay inside the cell's own row, so row partitions never alias.
-    fn min_reduce(
-        &mut self,
-        s: u32,
-        counting: bool,
-        occ_valid: bool,
-        par: Option<ParPolicy>,
-    ) -> KernelReport {
+    fn min_reduce(&mut self, s: u32, occ_valid: bool, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let stride = 1usize << s;
@@ -754,28 +813,21 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                let base = row * n;
-                let mut col = 0;
-                while col + stride < n {
-                    self.reads[base + col + stride] += 1;
-                    col += stride << 1;
-                }
-            }
-        }
-        KernelReport {
-            active,
-            reads: active as u64,
-            changed,
-            evaluated: active,
-            workers,
-        }
+        // Each participating cell reads the cell `2^s` to its right once.
+        let footprint = ReadSet::Grid {
+            row: 0,
+            rows: n,
+            col: stride,
+            step: stride << 1,
+            per_row,
+            delta: 1,
+        };
+        KernelReport::uniform(active, changed, workers, footprint)
     }
 
     /// Generations 4 and 8: column-0 cells still holding `∞` fall back to
     /// the saved `C(row)` from `D_N`.
-    fn resolve(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn resolve(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
         let (changed, workers) = match plan_rows(par, n, n, 1) {
@@ -791,18 +843,13 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                self.reads[n * n + row] += 1;
-            }
-        }
-        KernelReport::sequential(n, n as u64, changed).with_workers(workers)
+        KernelReport::uniform(n, changed, workers, ReadSet::dn_row(n, 1))
     }
 
     /// Generation 6: keep `d = T(col)` only where `col` is a member of
     /// component `row` (`C(col) = row`, read from `D_N`) and its candidate
     /// differs from `row`; else `∞`.
-    fn filter_members(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn filter_members(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
         let swar = self.swar;
@@ -839,19 +886,7 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for col in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[n * n + col] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
-        KernelReport {
-            active: n * n,
-            reads: (n * n) as u64,
-            changed,
-            evaluated: n * n,
-            workers,
-        }
+        KernelReport::uniform(n * n, changed, workers, ReadSet::dn_row(n, n))
     }
 
     /// Generation 9: spread `T(row)` (column 0) across each square row and
@@ -859,7 +894,7 @@ impl FusedExecutor {
     /// read stable sources; the `D_N` save of row `k` reads only row `k`'s
     /// column 0, keeping the fused per-row form race-free under row
     /// partitioning.
-    fn copy_and_save_t(&mut self, counting: bool, par: Option<ParPolicy>) -> KernelReport {
+    fn copy_and_save_t(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
         let run: fn(&mut [Word], &mut [Word], usize) -> usize = if self.swar {
@@ -880,19 +915,7 @@ impl FusedExecutor {
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
-        if counting {
-            for row in 0..n {
-                // The layout caps n below u32::MAX.
-                self.reads[row * n] += n as u32; // gca-lint: allow(truncating-cast)
-            }
-        }
-        KernelReport {
-            active: n * n,
-            reads: (n * n) as u64,
-            changed,
-            evaluated: n * n,
-            workers,
-        }
+        KernelReport::uniform(n * n, changed, workers, ReadSet::column0(n, n))
     }
 
     /// Copies column 0 of the square field into the ping label buffer —
@@ -927,6 +950,7 @@ impl FusedExecutor {
         counting: bool,
         par: Option<ParPolicy>,
     ) -> Result<KernelReport, GcaError> {
+        self.bumps.clear();
         let n = self.n;
         let len = self.hfield.d.len();
         let dn0 = if len > n * n {
@@ -972,21 +996,28 @@ impl FusedExecutor {
         }
         let changed: usize = self.chunks[..count].iter().map(|c| c.changed).sum();
         if counting {
-            for ci in 0..count {
-                for d in 0..=n {
-                    let c = self.chunks[ci].hist[d];
-                    if c > 0 {
-                        self.reads[d * n] += c;
-                    }
-                }
-            }
+            self.merge_hist(count);
         }
         std::mem::swap(&mut self.labels, &mut self.labels_next);
-        Ok(KernelReport::sequential(n, n as u64, changed).with_workers(if plan.is_some() {
-            count
-        } else {
-            1
-        }))
+        let workers = if plan.is_some() { count } else { 1 };
+        Ok(KernelReport::uniform(
+            n,
+            changed,
+            workers,
+            ReadSet::Chase { col: 0 },
+        ))
+    }
+
+    /// Folds the first `count` chunks' label histograms into `hist` (the
+    /// exact per-partition histograms add slot by slot). The first
+    /// chunk's buffer is swapped in rather than copied, so both stay warm.
+    fn merge_hist(&mut self, count: usize) {
+        std::mem::swap(&mut self.hist, &mut self.chunks[0].hist);
+        for c in &self.chunks[1..count] {
+            for (h, &v) in self.hist.iter_mut().zip(&c.hist) {
+                *h += v;
+            }
+        }
     }
 
     /// Generation 11: `C(i) ← min(C(i), T(C(i)))`, reading column 1 of row
@@ -1043,30 +1074,18 @@ impl FusedExecutor {
         }
         let changed: usize = self.chunks[..count].iter().map(|c| c.changed).sum();
         if counting {
-            for ci in 0..count {
-                for d in 0..=n {
-                    let c = self.chunks[ci].hist[d];
-                    if c > 0 {
-                        self.reads[d * n + 1] += c;
-                    }
-                }
-            }
+            self.merge_hist(count);
         }
         for (j, &v) in self.labels_next[..n].iter().enumerate() {
             self.hfield.d[j * n] = v;
         }
-        Ok(KernelReport::sequential(n, n as u64, changed).with_workers(if plan.is_some() {
-            count
-        } else {
-            1
-        }))
-    }
-}
-
-impl KernelReport {
-    fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
+        let workers = if plan.is_some() { count } else { 1 };
+        Ok(KernelReport::uniform(
+            n,
+            changed,
+            workers,
+            ReadSet::Chase { col: 1 },
+        ))
     }
 }
 
@@ -1358,7 +1377,77 @@ mod tests {
             assert_eq!(a.active, b.active, "{phase:?}/{sub} active");
             assert_eq!(a.reads, b.reads, "{phase:?}/{sub} reads");
             assert_eq!(a.changed, b.changed, "{phase:?}/{sub} changed");
-            assert_eq!(scalar.reads(), swar_exec.reads(), "{phase:?}/{sub} hist");
+            assert_eq!(a.footprint, b.footprint, "{phase:?}/{sub} footprint");
+            let (mut pa, mut pb) = (Vec::new(), Vec::new());
+            scalar.write_reads(a.footprint, &mut pa);
+            swar_exec.write_reads(b.footprint, &mut pb);
+            assert_eq!(pa, pb, "{phase:?}/{sub} hist");
+        }
+    }
+
+    /// The dense reads plane the reference rule issues from the
+    /// executor's current state (the generic engine's histogram).
+    fn reference_reads(exec: &FusedExecutor, ctx: &StepCtx) -> Vec<u32> {
+        use gca_engine::GcaRule;
+        let n = exec.n;
+        let layout = crate::Layout::new(n).unwrap();
+        let shape = *layout.shape();
+        let rule = crate::HirschbergRule::new(n);
+        let accesses: Vec<_> = (0..shape.len())
+            .map(|i| rule.access(ctx, &shape, i, &HCell::new(exec.hfield.d[i])))
+            .collect();
+        gca_engine::metrics::CongestionHistogram::from_accesses(shape.len(), accesses.iter()).into_reads()
+    }
+
+    #[test]
+    fn closed_form_footprints_equal_dense_accounting() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for n in [1usize, 2, 3, 5, 63, 64, 65, 100, 128] {
+            let mut exec = FusedExecutor::new(n);
+            exec.set_swar(true);
+            for (generation, (gen, sub)) in crate::iteration_schedule(n).into_iter().enumerate() {
+                if matches!(gen, Gen::PointerJump | Gen::FinalMin) {
+                    // Chases read through arbitrary column-0 labels.
+                    for j in 0..n {
+                        exec.set_word(j * n, rng.gen_range(0..n) as Word);
+                    }
+                }
+                let ctx = StepCtx {
+                    generation: generation as u64,
+                    phase: gen.number(),
+                    subgeneration: sub,
+                };
+                let reference = reference_reads(&exec, &ctx);
+                let rep = exec.step(&ctx, true, None).unwrap();
+                let what = format!("n={n} {gen:?}/{sub}");
+                let mut plane = Vec::new();
+                exec.write_reads(rep.footprint, &mut plane);
+                assert_eq!(plane, reference, "{what}: plane vs reference rule");
+                let unread = plane.iter().position(|&r| r == 0);
+                let bump_sets = [vec![], vec![0], vec![0, 0]].into_iter().chain(
+                    unread
+                        .into_iter()
+                        .flat_map(|u| [vec![u], vec![u, u], vec![0, u]]),
+                );
+                for bumps in bump_sets {
+                    exec.bumps.clear();
+                    for &i in &bumps {
+                        exec.bump_read(i);
+                    }
+                    exec.write_reads(rep.footprint, &mut plane);
+                    let mut want = reference.clone();
+                    for &i in &bumps {
+                        want[i] += 1;
+                    }
+                    assert_eq!(plane, want, "{what} bumps {bumps:?}: plane");
+                    assert_eq!(
+                        exec.generation_metrics(ctx, rep.active, rep.footprint),
+                        GenerationMetrics::from_read_counts(ctx, rep.active, &plane),
+                        "{what} bumps {bumps:?}: metrics"
+                    );
+                }
+            }
         }
     }
 

@@ -172,9 +172,10 @@ proptest! {
     /// Execution-path identity: generic, fused, SWAR and row-partitioned
     /// SWAR agree on labels, generation counts AND full
     /// `Counts` metric logs on arbitrary graphs up to one word (n ≤ 64
-    /// exercises the packed plane's tail-bit handling). Under `Off` the
-    /// SWAR driver additionally runs its fused broadcast+filter pair and
-    /// uniform-label shortcut, which the labels must not observe.
+    /// exercises the packed plane's tail-bit handling). The SWAR driver
+    /// runs its fused broadcast+filter pair under both `Counts` and `Off`
+    /// (and its uniform-label shortcut), which neither the labels nor the
+    /// closed-form metrics may observe.
     #[test]
     fn exec_paths_agree_on_labels_and_metrics(g in arb_graph(2, 64)) {
         let run = |exec: ExecPath, instrumentation: Instrumentation| {
@@ -227,5 +228,46 @@ proptest! {
         prop_assert_eq!(off.generations, trace.generations);
         prop_assert_eq!(off.metrics.generations(), 0);
         prop_assert_eq!(trace.metrics.generations() as u64, trace.generations);
+    }
+}
+
+/// Execution-path identity past one packed word: at n = 65 (a one-bit
+/// second adjacency word), 100 and 130 (the first of these sizes whose
+/// field row-partitions at the default threshold) every fused path's whole
+/// `Counts` metrics log equals generic's, under both convergence policies.
+/// The partitioned run forces the threshold to 0 so every kernel splits.
+#[test]
+fn exec_paths_agree_on_metrics_past_one_word() {
+    use gca_graphs::generators;
+    use gca_hirschberg::Convergence;
+    for n in [65usize, 100, 130] {
+        // Three random trees: deep pointer chains and several components.
+        let g = generators::random_forest(n, 3, n as u64);
+        let expected = union_find_components_dense(&g);
+        for convergence in [Convergence::Fixed, Convergence::Detect] {
+            let run = |exec: ExecPath| {
+                HirschbergGca::new()
+                    .with_engine(Engine::sequential().with_min_parallel_cells(0))
+                    .convergence(convergence)
+                    .exec(exec)
+                    .run(&g)
+                    .unwrap()
+            };
+            let generic = run(ExecPath::Generic);
+            assert_eq!(generic.labels.as_slice(), expected.as_slice());
+            for exec in [
+                ExecPath::Fused,
+                ExecPath::fused_swar(),
+                ExecPath::FusedSwar(FusedSwar {
+                    parallel: Some(FusedParallel::with_workers(2)),
+                }),
+            ] {
+                let fused = run(exec);
+                let what = format!("n={n} {convergence:?} {exec:?}");
+                assert_eq!(fused.labels.as_slice(), expected.as_slice(), "{what}");
+                assert_eq!(fused.generations, generic.generations, "{what}");
+                assert_eq!(fused.metrics.entries(), generic.metrics.entries(), "{what}");
+            }
+        }
     }
 }
