@@ -1849,9 +1849,9 @@ mod tests {
 
     #[test]
     fn counting_batched_driver_fuses_broadcast_filter_like_stepwise() {
-        // Under Counts the batched SWAR driver now takes the fused
-        // broadcast+filter sweep (its closed-form footprints replace the
-        // per-generation recount); its log must equal the single-step
+        // Under Counts the batched SWAR driver takes the fused
+        // broadcast+filter sweep and books both generations from their
+        // closed-form footprints; its log must equal the single-step
         // API's, which materializes every generation separately — also
         // when the sweep itself row-partitions.
         for exec in [ExecPath::fused_swar(), swar_par(2)] {
