@@ -2,15 +2,14 @@
 //! document — the companion artifact to EXPERIMENTS.md, so reported values
 //! can be diffed against a fresh run in CI or during review.
 //!
-//! Usage: `export_results [n] [--sparse-out <path>] [--fused-out <path>]
-//! [> results.json]` (default n = 16, the paper's synthesized size). With
-//! `--sparse-out` the sparse-stepping measurements are additionally written
-//! to `<path>` (conventionally `BENCH_sparse_stepping.json` at the repo
-//! root, so the perf trajectory is tracked across PRs); `--fused-out` does
-//! the same for the fused-kernel measurements
-//! (conventionally `BENCH_fused_kernels.json`).
+//! Usage: `export_results [n] [--sparse-out <path>] [> results.json]`
+//! (default n = 16, the paper's synthesized size). With `--sparse-out` the
+//! sparse-stepping measurements are additionally written to `<path>`
+//! (conventionally `BENCH_sparse_stepping.json` at the repo root, so the
+//! perf trajectory is tracked across PRs). The fast path's measurements
+//! are the `swar_kernels` binary's (`BENCH_swar_kernels.json`).
 
-use gca_bench::{fused, sparse};
+use gca_bench::sparse;
 use gca_emu::hirschberg_program;
 use gca_engine::{Engine, Instrumentation};
 use gca_graphs::{generators, properties};
@@ -62,80 +61,12 @@ fn sparse_stepping_doc() -> serde_json::Value {
     })
 }
 
-/// Measures generic-vs-fused stepping, full runs under both `Counts` and
-/// `Off` instrumentation, and the batched runner's throughput scaling (the
-/// `fused_kernels` bench's quantities, one sample each).
-fn fused_kernels_doc() -> serde_json::Value {
-    let mut generation_rows = Vec::new();
-    for &n in &fused::SIZES {
-        // Enough repetitions for stable medians at small n, few at large n.
-        let reps = (1 << 20 >> (n.ilog2())).clamp(2, 64) as u32;
-        for (gen, sub) in fused::kernel_generations() {
-            let t = fused::time_generation(n, gen, sub, reps);
-            generation_rows.push(json!({
-                "n": t.n,
-                "generation": t.generation.number(),
-                "subgeneration": t.subgeneration,
-                "generic_ns_per_step": t.generic_ns_per_step.json(),
-                "fused_ns_per_step": t.fused_ns_per_step.json(),
-                "speedup": t.speedup(),
-                "metrics_identical": t.metrics_identical,
-            }));
-        }
-    }
-    let mut speedup_n256_off = 0.0;
-    let mut full_rows = Vec::new();
-    for &n in &[16usize, 64, 256] {
-        for instr in [Instrumentation::Counts, Instrumentation::Off] {
-            let t = fused::time_full_runs(n, instr);
-            if n == 256 && matches!(instr, Instrumentation::Off) {
-                speedup_n256_off = t.speedup();
-            }
-            full_rows.push(json!({
-                "n": t.n,
-                "instrumentation": t.instrumentation,
-                "generic_hinted_ms": t.generic_ms,
-                "fused_ms": t.fused_ms,
-                "speedup": t.speedup(),
-                "labels_match_union_find": t.labels_match_union_find,
-                "metrics_identical": t.metrics_identical,
-            }));
-        }
-    }
-    let max_workers = gca_bench::workers();
-    let batch_rows: Vec<serde_json::Value> = [1usize, max_workers]
-        .iter()
-        .map(|&workers| {
-            let t = fused::batch_throughput(64, 32, workers);
-            json!({
-                "n": t.n,
-                "batch": t.batch,
-                "workers": t.workers,
-                "graphs_per_sec": t.graphs_per_sec,
-                "labels_match_union_find": t.labels_match_union_find,
-            })
-        })
-        .collect();
-    json!({
-        "workload": format!("gnp(n, 0.3, seed {})", fused::SEED),
-        "baseline": "generic exec path, sequential backend, hinted domains",
-        "speedup_full_run_n256_instrumentation_off": speedup_n256_off,
-        "kernel_generations": generation_rows,
-        "full_runs": full_rows,
-        "batch_throughput": batch_rows,
-    })
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let sparse_out = args
         .iter()
         .position(|a| a == "--sparse-out")
         .map(|i| args.get(i + 1).expect("--sparse-out needs a path").clone());
-    let fused_out = args
-        .iter()
-        .position(|a| a == "--fused-out")
-        .map(|i| args.get(i + 1).expect("--fused-out needs a path").clone());
     let n: usize = args
         .first()
         .filter(|a| !a.starts_with("--"))
@@ -207,21 +138,6 @@ fn main() {
         eprintln!("sparse-stepping results written to {path}");
     }
 
-    // --- Fused kernels and batched throughput --------------------------------
-    let mut fused_doc = fused_kernels_doc();
-    fused_doc["stamp"] = stamp.clone();
-    if let Some(path) = &fused_out {
-        std::fs::write(
-            path,
-            format!(
-                "{}\n",
-                serde_json::to_string_pretty(&fused_doc).expect("serializable")
-            ),
-        )
-        .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("fused-kernel results written to {path}");
-    }
-
     let doc = json!({
         "stamp": stamp,
         "workload": {
@@ -275,7 +191,6 @@ fn main() {
         },
         "area_time": at,
         "sparse_stepping": sparse_doc,
-        "fused_kernels": fused_doc,
     });
 
     println!("{}", serde_json::to_string_pretty(&doc).expect("serializable"));

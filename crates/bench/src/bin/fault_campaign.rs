@@ -58,7 +58,6 @@ struct PathRow {
 fn grid_paths() -> Vec<PathRow> {
     vec![
         PathRow { name: "generic", exec: ExecPath::Generic },
-        PathRow { name: "fused", exec: ExecPath::Fused },
         PathRow {
             name: "fused-swar-w3",
             exec: ExecPath::FusedSwar(FusedSwar {

@@ -1,5 +1,6 @@
-//! SWAR kernels vs. sequential fused: per-generation and full-run timings
-//! with bit-identical-metrics verification on every row.
+//! The fast path against the reference: fused-swar vs. generic
+//! per-generation and full-run timings, with bit-identical-metrics
+//! verification on every row.
 //!
 //! Usage: `swar_kernels [--out <path>] [--sizes a,b,c] [--reps k]`
 //! (defaults: sizes 64,256,1024; reps scaled by size). With `--out` the
@@ -7,8 +8,9 @@
 //! `BENCH_swar_kernels.json` at the repo root, so the perf trajectory is
 //! tracked across PRs); the document carries the provenance stamp (worker
 //! budget, CPU count, commit SHA, dirtiness). Both paths are
-//! single-threaded — the speedups are word-level parallelism over the
-//! bit-packed adjacency plane, not thread count — so the sweep covers
+//! single-threaded — the speedups are kernel design and word-level
+//! parallelism over the bit-packed adjacency plane, not thread count —
+//! so the sweep covers
 //! workload shapes instead of worker counts: the dense standard workload,
 //! a uniformly sparse one (sparse-bit walks), and a banded one where the
 //! all-zero-word skip dominates.
@@ -17,7 +19,7 @@
 //! between the two paths: a fast wrong kernel is worse than no kernel.
 
 use gca_bench::tables::Table;
-use gca_bench::{fused, swar};
+use gca_bench::swar;
 use gca_engine::Instrumentation;
 use serde_json::json;
 
@@ -62,12 +64,12 @@ fn main() {
     // --- Per-generation timings --------------------------------------------
     let mut gen_rows = Vec::new();
     let mut gen_table = Table::new([
-        "n", "workload", "gen", "sub", "fused ns", "swar ns", "speedup", "identical",
+        "n", "workload", "gen", "sub", "generic ns", "swar ns", "speedup", "identical",
     ]);
     for &n in &sizes {
         let reps = reps_override.unwrap_or((1 << 20 >> n.max(2).ilog2()).clamp(2, 64) as u32);
         for w in swar::SwarWorkload::ALL {
-            for (gen, sub) in fused::kernel_generations() {
+            for (gen, sub) in swar::kernel_generations() {
                 let t = swar::time_generation(n, w, gen, sub, reps).expect("generation timing");
                 check(
                     format!("n={n} workload={} gen={gen:?} sub={sub}", w.key()),
@@ -79,7 +81,7 @@ fn main() {
                     w.label().to_string(),
                     format!("{:?}", t.generation),
                     t.subgeneration.to_string(),
-                    format!("{:.0}", t.fused_ns_per_step.median),
+                    format!("{:.0}", t.generic_ns_per_step.median),
                     format!("{:.0}", t.swar_ns_per_step.median),
                     format!("{:.2}x", t.speedup()),
                     t.metrics_identical.to_string(),
@@ -89,7 +91,7 @@ fn main() {
                     "workload": w.key(),
                     "generation": t.generation.number(),
                     "subgeneration": t.subgeneration,
-                    "fused_ns_per_step": t.fused_ns_per_step.json(),
+                    "generic_ns_per_step": t.generic_ns_per_step.json(),
                     "swar_ns_per_step": t.swar_ns_per_step.json(),
                     "speedup": t.speedup(),
                     "metrics_identical": t.metrics_identical,
@@ -97,14 +99,14 @@ fn main() {
             }
         }
     }
-    println!("per-generation, sequential fused vs SWAR (both single-thread):");
+    println!("per-generation, generic vs SWAR (both single-thread):");
     print!("{}", gen_table.render());
 
     // --- Full runs (Off = headline, Counts = full metrics identity) --------
     let mut speedup_n256_dense_off = 0.0;
     let mut run_rows = Vec::new();
     let mut run_table = Table::new([
-        "n", "workload", "instr", "fused ms", "swar ms", "speedup", "identical",
+        "n", "workload", "instr", "generic ms", "swar ms", "speedup", "identical",
     ]);
     for &n in &sizes {
         for w in swar::SwarWorkload::ALL {
@@ -125,7 +127,7 @@ fn main() {
                     n.to_string(),
                     w.label().to_string(),
                     t.instrumentation.to_string(),
-                    format!("{:.2}", t.fused_ms),
+                    format!("{:.2}", t.generic_ms),
                     format!("{:.2}", t.swar_ms),
                     format!("{:.2}x", t.speedup()),
                     (t.metrics_identical && t.labels_match_union_find).to_string(),
@@ -134,7 +136,7 @@ fn main() {
                     "n": t.n,
                     "workload": w.key(),
                     "instrumentation": t.instrumentation,
-                    "fused_ms": t.fused_ms,
+                    "generic_ms": t.generic_ms,
                     "swar_ms": t.swar_ms,
                     "speedup": t.speedup(),
                     "labels_match_union_find": t.labels_match_union_find,
@@ -143,15 +145,15 @@ fn main() {
             }
         }
     }
-    println!("\nfull runs, sequential fused vs SWAR:");
+    println!("\nfull runs, generic vs SWAR:");
     print!("{}", run_table.render());
 
     let doc = json!({
         "workload": format!(
             "gnp(n, p, seed {}) at p in {{0.300, 0.020}} plus grid(n/32, 32) banded sparsity",
-            fused::SEED
+            swar::SEED
         ),
-        "baseline": "sequential fused exec path, hinted domains, single thread on both sides",
+        "baseline": "generic exec path, sequential backend, hinted domains, single thread on both sides",
         "timed_region": "init + ceil(log2 n) iterations + label extraction; machine build excluded",
         "stamp": gca_bench::stamp(),
         "speedup_full_run_n256_dense_instrumentation_off": speedup_n256_dense_off,
@@ -168,7 +170,7 @@ fn main() {
     }
 
     if !all_identical {
-        eprintln!("FAILED: at least one row diverged from sequential fused");
+        eprintln!("FAILED: at least one row diverged from the generic path");
         std::process::exit(1);
     }
 }

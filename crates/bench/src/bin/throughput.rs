@@ -1,13 +1,13 @@
 //! Batched multi-graph throughput: sweeps worker counts over a batch of
 //! independent same-sized graphs and prints aggregate graphs/sec for the
-//! fused and generic execution paths.
+//! fused-swar and generic execution paths.
 //!
 //! Usage: `throughput [n] [batch]` (defaults: n = 64, batch = 64).
 //!
 //! Every configuration verifies its labelings against union-find before its
 //! throughput is reported — a number from a wrong run would be worthless.
 
-use gca_bench::fused;
+use gca_bench::swar;
 use gca_bench::tables::Table;
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
@@ -46,7 +46,7 @@ fn main() {
     let max_workers = gca_bench::workers();
 
     let graphs: Vec<_> = (0..batch)
-        .map(|i| generators::gnp(n, 0.3, fused::SEED + i as u64))
+        .map(|i| generators::gnp(n, 0.3, swar::SEED + i as u64))
         .collect();
     let expected: Vec<_> = graphs.iter().map(union_find_components_dense).collect();
 
@@ -54,7 +54,7 @@ fn main() {
         "batched throughput: {batch} × gnp({n}, 0.3), {max_workers} hardware threads"
     );
     let mut table = Table::new(["exec", "workers", "graphs/sec", "ms/batch", "scaling"]);
-    for (exec, name) in [(ExecPath::Fused, "fused"), (ExecPath::Generic, "generic")] {
+    for (exec, name) in [(ExecPath::fused_swar(), "fused-swar"), (ExecPath::Generic, "generic")] {
         let mut base: Option<f64> = None;
         for workers in worker_sweep(max_workers) {
             let runner = BatchRunner::new().exec(exec).workers(workers);

@@ -7,7 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fused;
 pub mod sparse;
 pub mod swar;
 pub mod tables;

@@ -1,30 +1,47 @@
 //! SWAR-kernel measurements: the data behind the `swar_kernels` bench and
 //! the `BENCH_swar_kernels.json` export.
 //!
-//! [`ExecPath::FusedSwar`] re-expresses the hot fused kernels as
-//! word-parallel free functions over the bit-packed, row-aligned adjacency
-//! plane: all-zero adjacency words are skipped outright, set bits are
-//! walked with `trailing_zeros`, broadcast fills are slice copies, and the
-//! tree reductions fold branch-free. Its contract is the fused path's
-//! contract one level up: *bit-identical* labelings and `Counts` metrics
-//! versus **sequential fused** (and therefore versus the generic engine
-//! path). Every timing helper here checks that equivalence on the workload
-//! before publishing a number — the export fails outright if any row
-//! diverges.
+//! [`ExecPath::FusedSwar`] — the one fast path — replaces the engine's
+//! per-cell rule dispatch and per-step full-field copy with flat-array
+//! kernels whose hot bodies are word-parallel free functions over the
+//! bit-packed, row-aligned adjacency plane: all-zero adjacency words are
+//! skipped outright, set bits are walked with `trailing_zeros`, broadcast
+//! fills are slice copies, and the tree reductions fold branch-free. Its
+//! contract is *bit-identical* labelings and `Counts` metrics versus the
+//! reference: [`ExecPath::Generic`], the path users get by default. Every
+//! timing helper here checks that equivalence on the workload before
+//! publishing a number — the export fails outright if any row diverges.
 //!
-//! The headline configuration is **single-threaded**: `FusedSwar { parallel: None }`, so every speedup
-//! is word-level parallelism, not thread count. The workloads sweep shape
-//! as well as size (see [`SwarWorkload`]): the zero-word skip makes the
-//! filter kernels' cost proportional to *occupied adjacency words*, so a
-//! banded sparse graph — whose set bits cluster into few words — gains
-//! the most, while uniform sparsity mostly exercises the sparse-bit walk.
+//! The headline configuration is **single-threaded** on both sides: the
+//! generic path on the sequential backend against `FusedSwar { parallel:
+//! None }`, so every speedup is kernel design and word-level parallelism,
+//! not thread count. The workloads sweep shape as well as size (see
+//! [`SwarWorkload`]): the zero-word skip makes the filter kernels' cost
+//! proportional to *occupied adjacency words*, so a banded sparse graph —
+//! whose set bits cluster into few words — gains the most, while uniform
+//! sparsity mostly exercises the sparse-bit walk.
 
-use crate::{fused, NsPerStep};
-use gca_engine::{DomainPolicy, Engine, GcaError, Instrumentation};
+use crate::NsPerStep;
+use gca_engine::{Engine, GcaError, Instrumentation};
 use gca_graphs::connectivity::union_find_components_dense;
 use gca_graphs::generators;
 use gca_hirschberg::{complexity::ceil_log2, ExecPath, Gen, Machine};
 use std::time::Instant;
+
+/// Seed shared by the `gnp` workloads (same as `sparse`).
+pub const SEED: u64 = 2007;
+
+/// Representative `(generation, sub-generation)` pairs, one per kernel
+/// family: dense broadcast, row filter, thinned tree reduction, and the
+/// chased-pointer jump.
+pub fn kernel_generations() -> [(Gen, u32); 4] {
+    [
+        (Gen::BroadcastC, 0),
+        (Gen::FilterNeighbors, 0),
+        (Gen::MinReduce, 1),
+        (Gen::PointerJump, 0),
+    ]
+}
 
 /// Problem sizes the export tracks.
 pub const SIZES: [usize; 3] = [64, 256, 1024];
@@ -43,8 +60,8 @@ pub const SIZES: [usize; 3] = [64, 256, 1024];
 /// skip).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SwarWorkload {
-    /// `gnp(n, 0.300)` — the fused bench's dense standard workload
-    /// (shared seed, so rows are comparable across exports).
+    /// `gnp(n, 0.300)` — the dense standard workload (shared seed, so
+    /// rows are comparable across exports).
     GnpDense,
     /// `gnp(n, 0.020)` — uniform sparsity: sparse-bit walks, few zero
     /// words.
@@ -81,8 +98,8 @@ impl SwarWorkload {
     /// which every entry of [`SIZES`] is).
     pub fn graph(self, n: usize) -> gca_graphs::AdjacencyMatrix {
         match self {
-            SwarWorkload::GnpDense => generators::gnp(n, 0.300, fused::SEED),
-            SwarWorkload::GnpSparse => generators::gnp(n, 0.020, fused::SEED),
+            SwarWorkload::GnpDense => generators::gnp(n, 0.300, SEED),
+            SwarWorkload::GnpSparse => generators::gnp(n, 0.020, SEED),
             SwarWorkload::Band => generators::grid(n / 32, 32),
         }
     }
@@ -99,15 +116,13 @@ fn machine(
     instrumentation: Instrumentation,
 ) -> Result<Machine, GcaError> {
     let graph = workload.graph(n);
-    let engine = Engine::sequential()
-        .with_domain_policy(DomainPolicy::Hinted)
-        .with_instrumentation(instrumentation);
+    let engine = Engine::sequential().with_instrumentation(instrumentation);
     let mut m = Machine::with_engine(&graph, engine)?.with_exec(exec);
     m.init()?;
     Ok(m)
 }
 
-/// One `(generation, sub)` timed under sequential fused and SWAR.
+/// One `(generation, sub)` timed under generic and SWAR.
 #[derive(Clone, Debug)]
 pub struct SwarGenTiming {
     /// Problem size.
@@ -118,8 +133,8 @@ pub struct SwarGenTiming {
     pub generation: Gen,
     /// The timed sub-generation.
     pub subgeneration: u32,
-    /// Per-step statistics, sequential fused (scalar bodies).
-    pub fused_ns_per_step: NsPerStep,
+    /// Per-step statistics, generic reference path.
+    pub generic_ns_per_step: NsPerStep,
     /// Per-step statistics, SWAR bodies (single-thread).
     pub swar_ns_per_step: NsPerStep,
     /// Whether active cells, reads, changed cells and the congestion
@@ -128,9 +143,9 @@ pub struct SwarGenTiming {
 }
 
 impl SwarGenTiming {
-    /// Scalar-fused median time over SWAR median time.
+    /// Generic median time over SWAR median time.
     pub fn speedup(&self) -> f64 {
-        self.fused_ns_per_step.median / self.swar_ns_per_step.median
+        self.generic_ns_per_step.median / self.swar_ns_per_step.median
     }
 }
 
@@ -155,7 +170,7 @@ fn time_steps(m: &mut Machine, gen: Gen, sub: u32, reps: u32) -> Result<NsPerSte
     }
 }
 
-/// Times `reps` executions of `(gen, sub)` under scalar fused and SWAR on
+/// Times `reps` executions of `(gen, sub)` under generic and SWAR on
 /// the same workload. The metrics-identity check runs first on a separate
 /// pair of `Counts` machines (one step each); the timed machines run under
 /// `Instrumentation::Off` so the rows report kernel time, not counting
@@ -168,31 +183,31 @@ pub fn time_generation(
     reps: u32,
 ) -> Result<SwarGenTiming, GcaError> {
     let metrics_identical = {
-        let mut scalar = machine(n, workload, ExecPath::Fused, Instrumentation::Counts)?;
+        let mut generic = machine(n, workload, ExecPath::Generic, Instrumentation::Counts)?;
         let mut swar = machine(n, workload, ExecPath::fused_swar(), Instrumentation::Counts)?;
-        let rs = scalar.step(gen, sub)?;
+        let rg = generic.step(gen, sub)?;
         let rw = swar.step(gen, sub)?;
-        rs.active_cells == rw.active_cells
-            && rs.total_reads == rw.total_reads
-            && rs.changed_cells == rw.changed_cells
-            && rs.congestion == rw.congestion
+        rg.active_cells == rw.active_cells
+            && rg.total_reads == rw.total_reads
+            && rg.changed_cells == rw.changed_cells
+            && rg.congestion == rw.congestion
     };
-    let mut scalar = machine(n, workload, ExecPath::Fused, Instrumentation::Off)?;
+    let mut generic = machine(n, workload, ExecPath::Generic, Instrumentation::Off)?;
     let mut swar = machine(n, workload, ExecPath::fused_swar(), Instrumentation::Off)?;
-    let fused_ns = time_steps(&mut scalar, gen, sub, reps)?;
+    let generic_ns = time_steps(&mut generic, gen, sub, reps)?;
     let swar_ns = time_steps(&mut swar, gen, sub, reps)?;
     Ok(SwarGenTiming {
         n,
         workload,
         generation: gen,
         subgeneration: sub,
-        fused_ns_per_step: fused_ns,
+        generic_ns_per_step: generic_ns,
         swar_ns_per_step: swar_ns,
         metrics_identical,
     })
 }
 
-/// Full connected-components runs, sequential fused vs. SWAR.
+/// Full connected-components runs, generic vs. SWAR.
 #[derive(Clone, Debug)]
 pub struct SwarRunTiming {
     /// Problem size.
@@ -201,8 +216,8 @@ pub struct SwarRunTiming {
     pub workload: SwarWorkload,
     /// Instrumentation the runs executed under (`"off"` / `"counts"`).
     pub instrumentation: &'static str,
-    /// Milliseconds for the sequential fused run.
-    pub fused_ms: f64,
+    /// Milliseconds for the generic run.
+    pub generic_ms: f64,
     /// Milliseconds for the SWAR run (single-thread).
     pub swar_ms: f64,
     /// Whether both runs matched the union-find ground truth.
@@ -214,9 +229,9 @@ pub struct SwarRunTiming {
 }
 
 impl SwarRunTiming {
-    /// Scalar-fused time over SWAR time.
+    /// Generic time over SWAR time.
     pub fn speedup(&self) -> f64 {
-        self.fused_ms / self.swar_ms
+        self.generic_ms / self.swar_ms
     }
 }
 
@@ -230,9 +245,7 @@ fn timed_run(
     exec: ExecPath,
     instrumentation: Instrumentation,
 ) -> Result<(f64, Machine), GcaError> {
-    let engine = Engine::sequential()
-        .with_domain_policy(DomainPolicy::Hinted)
-        .with_instrumentation(instrumentation);
+    let engine = Engine::sequential().with_instrumentation(instrumentation);
     let mut m = Machine::with_engine(graph, engine)?.with_exec(exec);
     let start = Instant::now();
     m.init()?;
@@ -268,16 +281,16 @@ pub fn time_full_runs(
     // The first run seeds both the minima and the machines the identity
     // check below reads, so no Option/expect dance is needed for "at least
     // one run happened".
-    let (mut fused_ms, mut scalar) = timed_run(&graph, ExecPath::Fused, instrumentation)?;
+    let (mut generic_ms, mut generic) = timed_run(&graph, ExecPath::Generic, instrumentation)?;
     let (mut swar_ms, mut swar) = timed_run(&graph, ExecPath::fused_swar(), instrumentation)?;
     for _ in 1..runs {
-        let (f_ms, s_machine) = timed_run(&graph, ExecPath::Fused, instrumentation)?;
+        let (g_ms, g_machine) = timed_run(&graph, ExecPath::Generic, instrumentation)?;
         let (w_ms, w_machine) = timed_run(&graph, ExecPath::fused_swar(), instrumentation)?;
-        fused_ms = fused_ms.min(f_ms);
+        generic_ms = generic_ms.min(g_ms);
         swar_ms = swar_ms.min(w_ms);
-        (scalar, swar) = (s_machine, w_machine);
+        (generic, swar) = (g_machine, w_machine);
     }
-    let labels_match_union_find = [scalar.labels()?, swar.labels()?]
+    let labels_match_union_find = [generic.labels()?, swar.labels()?]
         .iter()
         .all(|l| l.as_slice() == expected.as_slice());
     Ok(SwarRunTiming {
@@ -289,10 +302,10 @@ pub fn time_full_runs(
             Instrumentation::Trace => "trace",
             Instrumentation::Validate => "validate",
         },
-        fused_ms,
+        generic_ms,
         swar_ms,
         labels_match_union_find,
-        metrics_identical: scalar.metrics().entries() == swar.metrics().entries(),
+        metrics_identical: generic.metrics().entries() == swar.metrics().entries(),
     })
 }
 
@@ -307,10 +320,10 @@ mod tests {
     #[test]
     fn generation_timings_report_identical_metrics() {
         for w in SwarWorkload::ALL {
-            for (gen, sub) in fused::kernel_generations() {
+            for (gen, sub) in kernel_generations() {
                 let t = time_generation(TEST_N, w, gen, sub, 2).unwrap();
                 assert!(t.metrics_identical, "{gen:?} sub {sub} workload {w:?}");
-                assert!(t.fused_ns_per_step.median > 0.0 && t.swar_ns_per_step.median > 0.0);
+                assert!(t.generic_ns_per_step.median > 0.0 && t.swar_ns_per_step.median > 0.0);
                 assert!(t.swar_ns_per_step.min <= t.swar_ns_per_step.max);
             }
         }

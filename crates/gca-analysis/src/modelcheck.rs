@@ -18,7 +18,7 @@
 //!    as many generations (sub-generation convergence detection must never
 //!    change the result, only skip provably idempotent steps).
 //!
-//! Runs use the fused execution path with instrumentation off — the fast
+//! Runs use the fused-swar execution path with instrumentation off — the fast
 //! configuration is precisely the one whose shortcuts need this kind of
 //! adversarial coverage (at `n = 6` that is 32 768 graphs, two machine
 //! runs each). The first violated graph is reported as a typed
@@ -336,16 +336,16 @@ fn check_all_with(
             (0..labeled).collect()
         };
         graphs_covered += labeled;
-        // Two machines per n, reused across every mask: same fused + no
+        // Two machines per n, reused across every mask: same fused-swar + no
         // instrumentation configuration the fast paths ship with.
         let empty = AdjacencyMatrix::new(n);
         let engine = || Engine::sequential().with_instrumentation(Instrumentation::Off);
         let mut fixed = Machine::with_engine(&empty, engine())
             .map_err(|e| err(0, ModelCheckViolation::Engine(e)))?
-            .with_exec(ExecPath::Fused);
+            .with_exec(ExecPath::fused_swar());
         let mut detect = Machine::with_engine(&empty, engine())
             .map_err(|e| err(0, ModelCheckViolation::Engine(e)))?
-            .with_exec(ExecPath::Fused)
+            .with_exec(ExecPath::fused_swar())
             .with_convergence(Convergence::Detect);
         let iterations = outer_iterations(n);
         let predicted = total_generations(n);

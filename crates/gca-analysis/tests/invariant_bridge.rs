@@ -7,8 +7,8 @@
 //! `Instrumentation::Validate`) replays the *same* transfer functions
 //! against live runs. These tests close the loop from both sides:
 //!
-//! * random graphs (`n ≤ 64`) run under the armed harness across all three
-//!   execution paths (generic, fused, SWAR — sequential and row-parallel) — no
+//! * random graphs (`n ≤ 64`) run under the armed harness across both
+//!   execution paths (generic, SWAR — sequential and row-parallel) — no
 //!   `InvariantViolation` may fire, and the final labels must equal the
 //!   independent union-find canonical form;
 //! * the prover itself must discharge every contract over the same size
@@ -26,12 +26,11 @@ use gca_hirschberg::complexity::outer_iterations;
 use gca_hirschberg::{ExecPath, FusedParallel, FusedSwar, InvariantClass, Machine};
 use proptest::prelude::*;
 
-/// The three execution paths the live harness must agree on, SWAR both
+/// The execution paths the live harness must agree on, SWAR both
 /// sequential and row-partitioned.
-fn exec_paths() -> [ExecPath; 4] {
+fn exec_paths() -> [ExecPath; 3] {
     [
         ExecPath::Generic,
-        ExecPath::Fused,
         ExecPath::FusedSwar(FusedSwar {
             parallel: Some(FusedParallel::with_workers(2)),
         }),

@@ -10,8 +10,8 @@
 //!   formula and checked against the scalar reference rule — the formulas
 //!   must agree off the exhaustively-enumerated grid too;
 //! * random graphs (`n ≤ 64`, one adjacency word per row plus a partial
-//!   tail) run through all three execution paths (generic, fused,
-//!   SWAR — sequential and row-parallel), asserting
+//!   tail) run through both execution paths (generic, SWAR —
+//!   sequential and row-parallel), asserting
 //!   label-for-label agreement with the sequential union-find baseline:
 //!   if a lifted formula mis-modeled the live kernels, this is where the
 //!   divergence would surface.
@@ -101,14 +101,13 @@ proptest! {
         }
     }
 
-    /// All three execution paths produce the union-find labeling on random
+    /// Both execution paths produce the union-find labeling on random
     /// graphs spanning full words and partial tails (`n ≤ 64`).
     #[test]
     fn all_exec_paths_agree_on_random_graphs(g in arb_graph(64)) {
         let expected = union_find_components_dense(&g);
         let paths = [
             ExecPath::Generic,
-            ExecPath::Fused,
             ExecPath::fused_swar(),
             ExecPath::FusedSwar(FusedSwar {
                 parallel: Some(FusedParallel::with_workers(2)),

@@ -61,14 +61,16 @@ impl MachineKind {
 }
 
 /// Engine knobs forwarded to the main GCA machine (`--machine gca`); the
-/// other machines run their fixed reference configurations and ignore them.
+/// other machines run their fixed reference configurations, so the parser
+/// rejects these flags alongside any other `--machine`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct EngineOpts {
     /// Execution backend (`--backend`).
     pub backend: Backend,
     /// Pointer-jump convergence handling (`--convergence`).
     pub convergence: Convergence,
-    /// Execution path (`--exec`): generic per-cell dispatch or fused kernels.
+    /// Execution path (`--exec`): generic per-cell dispatch or the fused
+    /// SWAR kernels.
     pub exec: ExecPath,
     /// Run under the CROW/domain sanitizer (`--validate`): every generation
     /// is replayed against the read-snapshot and domain contracts, and the
@@ -110,10 +112,9 @@ impl EngineOpts {
     pub fn parse_exec(s: &str) -> Result<ExecPath, ArgError> {
         match s {
             "generic" => Ok(ExecPath::Generic),
-            "fused" => Ok(ExecPath::Fused),
             "fused-swar" => Ok(ExecPath::fused_swar()),
             other => Err(ArgError(format!(
-                "unknown exec path '{other}' (expected generic|fused|fused-swar)"
+                "unknown exec path '{other}' (expected generic|fused-swar)"
             ))),
         }
     }
@@ -133,13 +134,12 @@ impl EngineOpts {
             },
             match self.exec {
                 ExecPath::Generic => "generic",
-                ExecPath::Fused => "fused",
                 ExecPath::FusedSwar(_) => "fused-swar",
             }
         );
         let workers = match self.exec {
             ExecPath::FusedSwar(swar) => swar.parallel.map(|cfg| cfg.workers),
-            _ => None,
+            ExecPath::Generic => None,
         };
         if let Some(w) = workers.filter(|&w| w != 0) {
             s.push_str(&format!(" workers={w}"));
@@ -275,10 +275,9 @@ OPTIONS:
   --machine <m>      gca (default) | ncells | lowcong | twohand | closure | emu | pram | seq
   --backend <b>      seq (default) | par — engine backend (gca machine only)
   --convergence <c>  fixed (default) | detect — pointer-jump convergence early exit (gca machine only)
-  --exec <e>         generic (default) | fused | fused-swar — per-cell dispatch, fused
-                     flat-array kernels, or word-parallel SWAR kernels over the bit-packed
-                     adjacency plane with the symbolic-activity generation scheduler
-                     (gca machine only)
+  --exec <e>         generic (default) | fused-swar — the per-cell reference dispatch, or
+                     fused word-parallel SWAR kernels over the bit-packed adjacency plane
+                     with the symbolic-activity generation scheduler (gca machine only)
   --workers <k>      row-partition fused-swar over k workers (0 = auto from the machine's
                      thread count; single-thread unless given). A generation partitions
                      only once its n(n+1)-cell field reaches 16384 cells
@@ -292,12 +291,12 @@ OPTIONS:
                        <kind>[@<gen>[.<cell>[.<bit>]]][:seed=<u64>][:sticky]
                      with kind bitflip | torn | drop | stale-occ | dup-row | hist-merge.
                      Detection needs --validate; an undetected label divergence exits 4.
-                     A fault the configuration cannot fire is rejected: stale-occ needs
-                     fused-swar, hist-merge a fused path, dup-row >= 2 workers on a field
-                     that partitions.
+                     A fault the configuration cannot fire is rejected: stale-occ and
+                     hist-merge need fused-swar, dup-row >= 2 workers on a field that
+                     partitions.
   --recover <p>      recovery policy when a detector fires (implies supervision):
                      fail (default with --inject) | retry[:N] | rollback[:D] | degrade —
-                     degrade walks fused-swar -> fused -> generic. Exhausted
+                     degrade steps fused-swar down to generic. Exhausted
                      recovery exits 3; a recovered run exits 0 and prints its report.
   --checkpoint-every <N>
                      checkpoint cadence in outer iterations under supervision (default 1)
@@ -361,9 +360,17 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
     let mut recovery = RecoveryOpts::default();
     let mut cadence: Option<u64> = None;
     let mut workers: Option<usize> = None;
+    // The first engine knob given: only the gca machine honors them.
+    let mut gca_knob: Option<&'static str> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if let Some(knob) = ["--backend", "--convergence", "--exec", "--validate", "--invariants"]
+            .into_iter()
+            .find(|&k| k == arg)
+        {
+            gca_knob.get_or_insert(knob);
+        }
         match arg.as_str() {
             "--machine" => {
                 let v = it
@@ -464,6 +471,9 @@ pub fn parse(args: &[String]) -> Result<Args, ArgError> {
             "--inject/--recover require --machine gca".into(),
         ));
     }
+    if let Some(knob) = gca_knob.filter(|_| machine != MachineKind::Gca) {
+        return Err(ArgError(format!("{knob} requires --machine gca")));
+    }
 
     Ok(Args {
         machine,
@@ -562,20 +572,21 @@ mod tests {
         assert!(!a.engine.validate);
 
         let a = parse(&argv(&[
-            "--backend", "par", "--convergence", "detect", "--exec", "fused", "ring:5",
+            "--backend", "par", "--convergence", "detect", "--exec", "fused-swar", "ring:5",
         ]))
         .unwrap();
         assert_eq!(a.engine.backend, Backend::Parallel);
         assert_eq!(a.engine.convergence, Convergence::Detect);
-        assert_eq!(a.engine.exec, ExecPath::Fused);
+        assert_eq!(a.engine.exec, ExecPath::fused_swar());
         assert_eq!(
             a.engine.describe(),
-            "backend=parallel convergence=detect exec=fused"
+            "backend=parallel convergence=detect exec=fused-swar"
         );
     }
 
     #[test]
     fn retired_knobs_are_rejected() {
+        assert!(parse(&argv(&["--exec", "fused", "ring:5"])).is_err());
         assert!(parse(&argv(&["--exec", "fused-par", "ring:5"])).is_err());
         assert!(parse(&argv(&["--domain", "dense", "ring:5"])).is_err());
     }
@@ -583,7 +594,7 @@ mod tests {
     #[test]
     fn workers_requires_fused_swar() {
         assert!(parse(&argv(&["--workers", "4", "ring:5"])).is_err());
-        assert!(parse(&argv(&["--exec", "fused", "--workers", "4", "ring:5"])).is_err());
+        assert!(parse(&argv(&["--exec", "generic", "--workers", "4", "ring:5"])).is_err());
         assert!(parse(&argv(&["--exec", "fused-swar", "--workers", "x", "ring:5"])).is_err());
         assert!(parse(&argv(&["--workers"])).is_err());
     }
@@ -702,6 +713,33 @@ mod tests {
         // Supervision is a gca-machine feature.
         assert!(parse(&argv(&["--machine", "pram", "--inject", "torn", "path:8"])).is_err());
         assert!(parse(&argv(&["--machine", "seq", "--recover", "degrade", "path:8"])).is_err());
+    }
+
+    #[test]
+    fn engine_knobs_require_the_gca_machine() {
+        for knob in [
+            &["--exec", "fused-swar"][..],
+            &["--exec", "generic"],
+            &["--backend", "par"],
+            &["--convergence", "detect"],
+            &["--validate"],
+            &["--invariants"],
+        ] {
+            for machine in ["pram", "ncells", "seq"] {
+                let mut items = vec!["--machine", machine];
+                items.extend_from_slice(knob);
+                items.push("path:8");
+                let err = parse(&argv(&items)).unwrap_err();
+                assert_eq!(err.0, format!("{} requires --machine gca", knob[0]));
+            }
+            // Flag order does not matter, and gca accepts the knob.
+            let mut items = knob.to_vec();
+            items.extend_from_slice(&["path:8", "--machine", "pram"]);
+            assert!(parse(&argv(&items)).is_err(), "{knob:?}");
+            let mut items = knob.to_vec();
+            items.extend_from_slice(&["--machine", "gca", "path:8"]);
+            assert!(parse(&argv(&items)).is_ok(), "{knob:?}");
+        }
     }
 
     #[test]

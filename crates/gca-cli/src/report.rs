@@ -483,29 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_exec_matches_generic_via_cli_path() {
-        use gca_hirschberg::ExecPath;
-        let g = generators::gnp(14, 0.2, 9);
-        let generic = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
-        let opts = EngineOpts {
-            exec: ExecPath::Fused,
-            ..EngineOpts::default()
-        };
-        let fused = execute(MachineKind::Gca, &g, &opts, &RecoveryOpts::default()).unwrap();
-        assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
-        assert_eq!(fused.steps, generic.steps);
-        assert_eq!(fused.max_congestion, generic.max_congestion);
-        assert_eq!(
-            fused.metrics.as_ref().unwrap().entries(),
-            generic.metrics.as_ref().unwrap().entries()
-        );
-        assert_eq!(
-            fused.engine.as_deref(),
-            Some("backend=sequential convergence=fixed exec=fused")
-        );
-    }
-
-    #[test]
     fn fused_swar_exec_matches_generic_via_cli_path() {
         // The CLI path additionally installs the symbolically derived
         // schedule — this covers the oracle wiring end to end.
@@ -536,7 +513,6 @@ mod tests {
         let reference = execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default()).unwrap();
         for exec in [
             ExecPath::Generic,
-            ExecPath::Fused,
             swar_par(2),
             ExecPath::fused_swar(),
         ] {
@@ -601,8 +577,7 @@ mod tests {
         let opts = |exec| EngineOpts { exec, validate: true, ..EngineOpts::default() };
         for (exec, spec, needs) in [
             (ExecPath::Generic, "stale-occ", "fused-swar"),
-            (ExecPath::Fused, "stale-occ", "fused-swar"),
-            (ExecPath::Generic, "hist-merge", "fused path"),
+            (ExecPath::Generic, "hist-merge", "fused-swar"),
             (ExecPath::fused_swar(), "dup-row", "2 workers"),
             // n(n+1) = 600 cells: below the default threshold, so the
             // two-worker configuration never partitions.
@@ -618,7 +593,7 @@ mod tests {
         // The same classes are accepted where they can fire.
         for (exec, spec) in [
             (ExecPath::fused_swar(), "stale-occ"),
-            (ExecPath::Fused, "hist-merge"),
+            (ExecPath::fused_swar(), "hist-merge"),
             (ExecPath::Generic, "bitflip"),
         ] {
             assert!(execute(MachineKind::Gca, &g, &opts(exec), &inject(spec)).is_ok(), "{spec}");
@@ -650,7 +625,7 @@ mod tests {
             execute(MachineKind::Gca, &g, &EngineOpts::default(), &RecoveryOpts::default())
                 .unwrap();
         let opts = EngineOpts {
-            exec: ExecPath::Fused,
+            exec: ExecPath::fused_swar(),
             validate: true,
             ..EngineOpts::default()
         };
@@ -675,7 +650,7 @@ mod tests {
         use gca_hirschberg::ExecPath;
         let g = generators::path(24);
         let opts = EngineOpts {
-            exec: ExecPath::Fused,
+            exec: ExecPath::fused_swar(),
             validate: true,
             ..EngineOpts::default()
         };
@@ -698,7 +673,7 @@ mod tests {
         // on the last committed generation reaches the output unseen —
         // only the union-find cross-check catches it.
         let opts = EngineOpts {
-            exec: ExecPath::Fused,
+            exec: ExecPath::fused_swar(),
             ..EngineOpts::default()
         };
         let last = total_generations(24) - 1;
@@ -713,7 +688,7 @@ mod tests {
         use gca_hirschberg::ExecPath;
         let g = generators::path(24);
         let opts = EngineOpts {
-            exec: ExecPath::Fused,
+            exec: ExecPath::fused_swar(),
             validate: true,
             ..EngineOpts::default()
         };
@@ -724,7 +699,7 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["recovery"]["outcome"], "recovered");
         assert_eq!(v["recovery"]["attempts"][0]["detector"], "differential-replay");
-        assert_eq!(v["recovery"]["initial_rung"], "fused");
+        assert_eq!(v["recovery"]["initial_rung"], "fused-swar");
         assert_eq!(v["diverged"], false);
         let text = render_text(&outcome, &g, &args);
         assert!(text.contains("recovery: recovered"), "{text}");

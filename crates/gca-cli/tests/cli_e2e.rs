@@ -137,7 +137,7 @@ fn malformed_edge_list_fails_cleanly() {
 fn recovered_fault_exits_zero_with_report() {
     let out = gca_cc()
         .args([
-            "path:24", "--exec", "fused", "--validate", "--inject", "bitflip@27.5.0",
+            "path:24", "--exec", "fused-swar", "--validate", "--inject", "bitflip@27.5.0",
             "--recover", "retry:3", "--checkpoint-every", "2",
         ])
         .output()
@@ -158,7 +158,7 @@ fn recovered_fault_exits_zero_with_report() {
 fn exhausted_recovery_exits_three() {
     let out = gca_cc()
         .args([
-            "path:24", "--exec", "fused", "--validate", "--inject", "bitflip@27.5.0",
+            "path:24", "--exec", "fused-swar", "--validate", "--inject", "bitflip@27.5.0",
             "--recover", "fail",
         ])
         .output()
@@ -174,7 +174,7 @@ fn undetected_divergence_exits_four() {
     // generation (115 = total 116 minus init; cell 24 = row 1, column 0)
     // reaches the output unseen; only the exit cross-check catches it.
     let out = gca_cc()
-        .args(["path:24", "--exec", "fused", "--inject", "bitflip@115.24.0"])
+        .args(["path:24", "--exec", "fused-swar", "--inject", "bitflip@115.24.0"])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(4), "{}", String::from_utf8_lossy(&out.stdout));
@@ -188,7 +188,7 @@ fn validate_turns_the_divergence_into_a_recovery() {
     // sanitizer on is detected, repaired, and exits 0.
     let out = gca_cc()
         .args([
-            "path:24", "--exec", "fused", "--validate", "--inject", "bitflip@115.24.0",
+            "path:24", "--exec", "fused-swar", "--validate", "--inject", "bitflip@115.24.0",
             "--recover", "retry:3",
         ])
         .output()
@@ -206,7 +206,7 @@ fn validate_turns_the_divergence_into_a_recovery() {
 fn json_recovery_report_parses() {
     let out = gca_cc()
         .args([
-            "path:24", "--json", "--exec", "fused", "--validate", "--inject",
+            "path:24", "--json", "--exec", "fused-swar", "--validate", "--inject",
             "bitflip@27.5.0", "--recover", "degrade",
         ])
         .output()
@@ -261,6 +261,41 @@ fn partitioned_dup_row_is_detected_and_recovered() {
     assert!(text.contains("recovered: 1 fault(s) detected"), "{text}");
     assert!(text.contains("differential-replay"), "{text}");
     assert!(text.contains("fault containment: labels match"), "{text}");
+}
+
+#[test]
+fn retired_fused_exec_exits_one() {
+    let out = gca_cc()
+        .args(["path:8", "--exec", "fused"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown exec path 'fused' (expected generic|fused-swar)"), "{err}");
+}
+
+#[test]
+fn engine_knobs_on_other_machines_exit_one() {
+    // Only the gca machine honors the engine knobs; elsewhere they are
+    // rejected instead of being silently dropped.
+    for machine in ["pram", "ncells"] {
+        for knob in [
+            &["--exec", "fused-swar"][..],
+            &["--backend", "par"],
+            &["--convergence", "detect"],
+            &["--validate"],
+            &["--invariants"],
+        ] {
+            let mut args = vec!["gnp:8:300", "--machine", machine];
+            args.extend_from_slice(knob);
+            let out = gca_cc().args(&args).output().expect("spawn");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(err.contains(&format!("{} requires --machine gca", knob[0])), "{err}");
+        }
+    }
 }
 
 #[test]

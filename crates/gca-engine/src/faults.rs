@@ -45,7 +45,7 @@ pub enum FaultKind {
     /// A stale occupancy bit: one live bit of the SWAR occupancy plane is
     /// cleared after a filter generation wrote it, so the next reduction
     /// skips a populated lane. Meaningful only on the fused-SWAR path —
-    /// the other paths carry no occupancy plane.
+    /// the generic path carries no occupancy plane.
     StaleOccupancy,
     /// Two worker row partitions overlap on one boundary cell, which is
     /// then accounted twice in the counting broadcast — the observable
@@ -54,8 +54,8 @@ pub enum FaultKind {
     DuplicatedChunkRow,
     /// A corrupted per-chunk histogram merge: one cell's read count gains
     /// a phantom increment when worker histograms are folded into the
-    /// generation's read footprint. Meaningful only on fused paths under
-    /// counting instrumentation.
+    /// generation's read footprint. Meaningful only on the fused-SWAR path
+    /// under counting instrumentation.
     CorruptHistogramMerge,
 }
 
@@ -85,7 +85,7 @@ pub enum Persistence {
     /// broken unit (see `RecoveryPolicy::Degrade` in [`crate::recovery`]).
     Sticky {
         /// Lowest execution-ladder level at which the fault still fires
-        /// (0 = generic, 1 = fused, 2 = fused-swar).
+        /// (0 = generic, 1 = fused-swar).
         min_level: u8,
     },
 }

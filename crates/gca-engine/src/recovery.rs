@@ -12,7 +12,7 @@
 //! machine: it takes checkpoints on a cadence into a bounded ring, and
 //! on failure applies a [`RecoveryPolicy`] — retry the latest
 //! checkpoint, walk further back, or degrade the execution path one rung
-//! down the ladder (fused-swar → fused → generic) when the
+//! down the ladder (fused-swar → generic) when the
 //! same frontier keeps diverging, which routes around a persistently
 //! broken functional unit.
 //!

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 /// Configuration for running a batch of independent graphs.
 ///
-/// Defaults favor throughput: [`ExecPath::Fused`] kernels,
+/// Defaults favor throughput: [`ExecPath::FusedSwar`] kernels (sequential),
 /// [`Instrumentation::Off`] (no congestion accounting), the paper's fixed
 /// sub-generation schedule, and one worker per hardware thread.
 ///
@@ -55,11 +55,11 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// Throughput defaults: fused kernels, instrumentation off, fixed
-    /// schedule, auto worker count.
+    /// Throughput defaults: sequential fused-swar kernels, instrumentation
+    /// off, fixed schedule, auto worker count.
     pub fn new() -> Self {
         BatchRunner {
-            exec: ExecPath::Fused,
+            exec: ExecPath::fused_swar(),
             convergence: Convergence::Fixed,
             instrumentation: Instrumentation::Off,
             workers: 0,

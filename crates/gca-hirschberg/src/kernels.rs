@@ -1,5 +1,5 @@
-//! Fused flat-array kernels for the Hirschberg rule ([`ExecPath::Fused`]
-//! and [`ExecPath::FusedSwar`]).
+//! Fused flat-array kernels for the Hirschberg rule ([`ExecPath::FusedSwar`],
+//! the one fast path beside the generic reference).
 //!
 //! The generic engine path evaluates every generation through per-cell
 //! [`gca_engine::GcaRule`] dispatch: each cell re-derives its row/column,
@@ -25,24 +25,24 @@
 //!   at all between sub-generations — the existing
 //!   [`crate::Convergence::Detect`] fixed point composes unchanged.
 //!
-//! **SWAR execution.** [`ExecPath::FusedSwar`] swaps each row-range body
-//! for the word-parallel equivalent in the [`crate::swar`] module — identical per-cell
-//! semantics (so labels and `Counts` metrics stay bit-identical), but the
-//! bit-gated filters walk the row-aligned packed adjacency plane a word at
-//! a time (zero-word skip + `trailing_zeros` set-bit walks) and the fills
-//! and reductions run branch-free over whole slices. The dispatch is a
-//! per-kernel function-pointer/closure selection on
-//! `FusedExecutor::set_swar`, so the chunking, accounting and histogram
-//! machinery below is shared verbatim by both fused paths.
+//! **SWAR execution.** The statically addressed kernels run the
+//! word-parallel row bodies of the [`crate::swar`] module: the bit-gated
+//! filters walk the row-aligned packed adjacency plane a word at a time
+//! (zero-word skip + `trailing_zeros` set-bit walks) and the fills and
+//! reductions run branch-free over whole slices. The scalar `*_rows`
+//! functions below are the per-cell reference those bodies are proven
+//! against lane by lane (`gca-analysis --lanes`, DESIGN.md §15); the
+//! resolve, pointer-jump and final-min generations have no SWAR twin and
+//! run their scalar bodies directly.
 //!
 //! **Parallel execution.** Every kernel body is a *row-range function*
-//! (`*_rows` below) over a contiguous slice of whole rows. The sequential
-//! path runs it once over the full range; a partitioned SWAR run
-//! ([`FusedSwar::parallel`]) runs the same function over disjoint
-//! `par_chunks_mut` row partitions, one
-//! `ChunkReport` accumulator per chunk, merged after the join. Because
-//! both paths execute the identical per-cell code and integer counter sums
-//! commute, labels *and* metrics are bit-identical by construction. The
+//! (`swar::*_rows`, or `*_rows` below) over a contiguous slice of whole
+//! rows. The sequential path runs it once over the full range; a
+//! partitioned run ([`FusedSwar::parallel`]) runs the same function over
+//! disjoint `par_chunks_mut` row partitions, one `ChunkReport` accumulator
+//! per chunk, merged after the join. Because both paths execute the
+//! identical per-cell code and integer counter sums commute, labels *and*
+//! metrics are bit-identical by construction. The
 //! per-generation race-freedom argument (why row partitions never alias) is
 //! written out in DESIGN.md §13.
 //!
@@ -76,22 +76,19 @@ pub enum ExecPath {
     /// level and [`gca_engine::Backend`].
     #[default]
     Generic,
-    /// The fused flat-array kernels of [`crate::kernels`], sequential.
-    /// Bit-identical labelings and `Counts` metrics; steps with
+    /// The fused flat-array kernels of [`crate::kernels`] with SWAR
+    /// (SIMD-within-a-register) row bodies from the `swar` module:
+    /// word-skip + `trailing_zeros` walks over the bit-packed adjacency
+    /// plane, slice-equality broadcast fast paths and branch-free tree
+    /// reductions — 64 cells per ALU operation on the filter generations.
+    /// Optionally composes with row partitioning ([`FusedSwar::parallel`]):
+    /// SWAR inside each chunk. Labels and `Counts` metrics stay
+    /// bit-identical to [`ExecPath::Generic`]; steps with
     /// [`gca_engine::Instrumentation::Trace`] fall back to the generic path
-    /// (access traces require the per-cell evaluator).
-    Fused,
-    /// The fused kernels with SWAR (SIMD-within-a-register) row bodies from
-    /// the `swar` module: word-skip + `trailing_zeros` walks over the
-    /// bit-packed adjacency plane, slice-equality broadcast fast paths and
-    /// branch-free tree reductions — 64 cells per ALU operation on the
-    /// filter generations. Optionally composes with row partitioning
-    /// ([`FusedSwar::parallel`]): SWAR inside each chunk. Labels and
-    /// `Counts` metrics stay bit-identical to [`ExecPath::Fused`]; `Trace`
-    /// falls back to generic like `Fused`. The machine driver additionally
-    /// consults a [`crate::SwarSchedule`] (structural by default, derivable
-    /// from `gca-analysis`'s symbolic activity forms) to skip provably
-    /// zero-activity sub-generations.
+    /// (access traces require the per-cell evaluator). The machine driver
+    /// additionally consults a [`crate::SwarSchedule`] (structural by
+    /// default, derivable from `gca-analysis`'s symbolic activity forms) to
+    /// skip provably zero-activity sub-generations.
     FusedSwar(FusedSwar),
 }
 
@@ -127,6 +124,14 @@ pub struct FusedSwar {
 }
 
 impl ExecPath {
+    /// The name of the retired scalar fused path, kept as an alias of the
+    /// sequential [`ExecPath::FusedSwar`] configuration so that callers
+    /// written against it (the repository benchmark's workload table)
+    /// still build. It names no third path; it goes when those callers
+    /// move to [`ExecPath::fused_swar`].
+    #[allow(non_upper_case_globals)]
+    pub const Fused: ExecPath = ExecPath::FusedSwar(FusedSwar { parallel: None });
+
     /// Shorthand for the sequential [`ExecPath::FusedSwar`] configuration.
     pub fn fused_swar() -> Self {
         ExecPath::FusedSwar(FusedSwar::default())
@@ -327,20 +332,17 @@ pub(crate) struct FusedExecutor {
     bumps: Vec<usize>,
     /// Per-chunk accumulators of the parallel path.
     chunks: Vec<ChunkReport>,
-    /// Route row bodies through the SWAR kernels of [`crate::swar`]
-    /// ([`ExecPath::FusedSwar`]); set by the machine at SoA sync time.
-    swar: bool,
-    /// Generation 6 scratch of the SWAR path: the row-aligned membership
+    /// Generation 6 scratch: the row-aligned membership
     /// mask (`bit (r, c) ⇔ D_N[c] = r`), rebuilt each FilterMembers.
     member_mask: Vec<AdjWord>,
-    /// SWAR occupancy plane over the square field: bit `(r, c)` set iff
+    /// Occupancy plane over the square field: bit `(r, c)` set iff
     /// cell `(r, c)` is not `∞`. Written exactly by the filter kernels
     /// (generations 2 and 6), maintained by the occupancy-guided tree
     /// reductions, and meaningful only while `occ_valid`.
     occ: Vec<AdjWord>,
     /// Whether `occ` currently mirrors the square plane. True only in the
-    /// filter → min-reduce windows of a SWAR run; any other kernel (or a
-    /// SoA reload) invalidates it, dropping the reductions back to their
+    /// filter → min-reduce windows; any other kernel (or a SoA reload)
+    /// invalidates it, dropping the reductions back to their
     /// occupancy-free bodies.
     occ_valid: bool,
 }
@@ -358,20 +360,10 @@ impl FusedExecutor {
             hist: Vec::new(),
             bumps: Vec::new(),
             chunks: Vec::new(),
-            swar: false,
             member_mask: Vec::new(),
             occ,
             occ_valid: false,
         }
-    }
-
-    /// Selects the SWAR row bodies ([`ExecPath::FusedSwar`]) for every
-    /// subsequent kernel call.
-    pub fn set_swar(&mut self, swar: bool) {
-        if self.swar != swar {
-            self.occ_valid = false;
-        }
-        self.swar = swar;
     }
 
     /// Reloads the SoA mirror from the authoritative AoS field.
@@ -490,10 +482,10 @@ impl FusedExecutor {
     /// occupancy fault surface: a filter marked the cell occupied, the
     /// occupancy write is lost, and the next occupancy-guided tree
     /// reduction skips a live value. No-op unless the plane is currently
-    /// authoritative (SWAR path, inside a filter → min-reduce window) or
-    /// `i` lies outside the square plane.
+    /// authoritative (inside a filter → min-reduce window) or `i` lies
+    /// outside the square plane.
     pub fn clear_occ_bit(&mut self, i: usize) {
-        if !(self.occ_valid && self.swar) || self.n == 0 || i >= self.n * self.n {
+        if !self.occ_valid || self.n == 0 || i >= self.n * self.n {
             return;
         }
         let (row, col) = (i / self.n, i % self.n);
@@ -533,7 +525,7 @@ impl FusedExecutor {
                 ..KernelReport::default()
             });
         }
-        // Occupancy lifecycle: the SWAR filters produce an exact plane,
+        // Occupancy lifecycle: the filters produce an exact plane,
         // the tree reductions keep it exact, everything else (including
         // errors, which leave the plane mid-state) invalidates it.
         let occ_was_valid = self.occ_valid;
@@ -543,19 +535,19 @@ impl FusedExecutor {
             Gen::BroadcastC => Ok(self.broadcast(true, par)),
             Gen::FilterNeighbors => {
                 let rep = self.filter_neighbors(par);
-                self.occ_valid = self.swar;
+                self.occ_valid = true;
                 Ok(rep)
             }
             Gen::MinReduce | Gen::MinReduceMembers => {
                 let rep = self.min_reduce(ctx.subgeneration, occ_was_valid, par);
-                self.occ_valid = self.swar && occ_was_valid;
+                self.occ_valid = occ_was_valid;
                 Ok(rep)
             }
             Gen::ResolveIsolated | Gen::ResolveMembers => Ok(self.resolve(par)),
             Gen::BroadcastT => Ok(self.broadcast(false, par)),
             Gen::FilterMembers => {
                 let rep = self.filter_members(par);
-                self.occ_valid = self.swar;
+                self.occ_valid = true;
                 Ok(rep)
             }
             Gen::CopyAndSaveT => Ok(self.copy_and_save_t(par)),
@@ -574,13 +566,8 @@ impl FusedExecutor {
         let n = self.n;
         let rows = n + 1;
         let touched = rows * n;
-        let run: fn(&mut [Word], usize, usize) -> usize = if self.swar {
-            swar::init_rows
-        } else {
-            init_rows
-        };
         let (changed, workers) = match plan_rows(par, touched, rows, n) {
-            None => (run(&mut self.hfield.d, 0, n), 1),
+            None => (swar::init_rows(&mut self.hfield.d, 0, n), 1),
             Some(rows_per) => {
                 let count = rows.div_ceil(rows_per);
                 let slots = chunk_slots(&mut self.chunks, count, None);
@@ -590,7 +577,7 @@ impl FusedExecutor {
                     .zip(slots.par_iter_mut())
                     .enumerate()
                     .for_each(|(ci, (seg, acc))| {
-                        acc.changed = run(seg, ci * rows_per, n);
+                        acc.changed = swar::init_rows(seg, ci * rows_per, n);
                     });
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
@@ -617,13 +604,8 @@ impl FusedExecutor {
         }
         let rows = if include_dn { n + 1 } else { n };
         let touched = rows * n;
-        let run: fn(&mut [Word], &[Word]) -> usize = if self.swar {
-            swar::broadcast_rows
-        } else {
-            broadcast_rows
-        };
         let (changed, workers) = match plan_rows(par, touched, rows, n) {
-            None => (run(&mut self.hfield.d[..touched], &self.labels), 1),
+            None => (swar::broadcast_rows(&mut self.hfield.d[..touched], &self.labels), 1),
             Some(rows_per) => {
                 let count = rows.div_ceil(rows_per);
                 let slots = chunk_slots(&mut self.chunks, count, None);
@@ -631,7 +613,7 @@ impl FusedExecutor {
                 self.hfield.d[..touched]
                     .par_chunks_mut(rows_per * n)
                     .zip(slots.par_iter_mut())
-                    .for_each(|(seg, acc)| acc.changed = run(seg, labels));
+                    .for_each(|(seg, acc)| acc.changed = swar::broadcast_rows(seg, labels));
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
@@ -641,8 +623,7 @@ impl FusedExecutor {
     /// Fused broadcast + filter: generations 1+2 (`members = false`) or
     /// 5+6 (`members = true`) in one sweep over the square plane — one
     /// load+store per cell instead of the broadcast's store pass plus the
-    /// filter's load+store pass. SWAR-only, and only reached from the
-    /// batched driver when the post-broadcast intermediate state is
+    /// filter's load+store pass. Only reached from the batched driver when the post-broadcast intermediate state is
     /// unobservable (no validation, no fault plan, no single-stepping).
     /// Both generations are statically addressed, so the returned pair
     /// carries each one's closed-form read footprint alongside the exact
@@ -653,7 +634,6 @@ impl FusedExecutor {
         members: bool,
         par: Option<ParPolicy>,
     ) -> (KernelReport, KernelReport) {
-        debug_assert!(self.swar, "fused broadcast+filter is a SWAR body");
         self.bumps.clear();
         let n = self.n;
         let wpr = self.hfield.words_per_row;
@@ -725,7 +705,7 @@ impl FusedExecutor {
             }
         }
         // The filter half wrote an exact occupancy plane, exactly as the
-        // separate SWAR filter generation would have.
+        // separate filter generation would have.
         self.occ_valid = true;
         let bcast = ReadSet::column0(n, bcast_rows);
         (
@@ -740,16 +720,11 @@ impl FusedExecutor {
     fn filter_neighbors(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
-        let swar = self.swar;
         let occ = &mut self.occ;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
         let a = &self.hfield.a;
         let run = |seg: &mut [Word], occ_seg: &mut [AdjWord], base_row: usize, dn: &[Word]| {
-            if swar {
-                swar::filter_neighbor_rows(seg, occ_seg, a, dn, base_row, n, wpr)
-            } else {
-                filter_neighbor_rows(seg, a, dn, base_row, n, wpr)
-            }
+            swar::filter_neighbor_rows(seg, occ_seg, a, dn, base_row, n, wpr)
         };
         let (changed, workers) = match plan_rows(par, n * n, n, n) {
             None => (run(square, occ, 0, dn), 1),
@@ -758,8 +733,7 @@ impl FusedExecutor {
                 let slots = chunk_slots(&mut self.chunks, count, None);
                 let dn = &dn[..];
                 // The occupancy plane is row-partitioned exactly like the
-                // square plane, so chunks stay disjoint (and untouched by
-                // the scalar bodies).
+                // square plane, so chunks stay disjoint.
                 square
                     .par_chunks_mut(rows_per * n)
                     .zip(occ.par_chunks_mut(rows_per * wpr))
@@ -788,16 +762,13 @@ impl FusedExecutor {
             0
         };
         let active = n * per_row;
-        let use_occ = self.swar && occ_valid;
         let occ = &mut self.occ;
         let square = &mut self.hfield.d[..n * n];
         let run = |seg: &mut [Word], occ_seg: &mut [AdjWord]| {
-            if use_occ {
+            if occ_valid {
                 swar::min_reduce_rows_occ(seg, occ_seg, stride, n, wpr)
-            } else if self.swar {
-                swar::min_reduce_rows(seg, stride, n)
             } else {
-                min_reduce_rows(seg, stride, n)
+                swar::min_reduce_rows(seg, stride, n)
             }
         };
         let (changed, workers) = match plan_rows(par, active, n, n) {
@@ -852,36 +823,28 @@ impl FusedExecutor {
     fn filter_members(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let wpr = self.hfield.words_per_row;
-        let swar = self.swar;
-        if swar {
-            // One O(n) pass turns the n² membership tests into a packed
-            // row mask the word-walk can zero-skip (built before the plane
-            // split: D_N is read-only for this generation).
-            swar::build_member_mask(&mut self.member_mask, &self.hfield.d[n * n..], n, wpr);
-        }
+        // One O(n) pass turns the n² membership tests into a packed row
+        // mask the word-walk can zero-skip (D_N is read-only for this
+        // generation).
+        swar::build_member_mask(&mut self.member_mask, &self.hfield.d[n * n..], n, wpr);
         let mask = &self.member_mask;
         let occ = &mut self.occ;
-        let (square, dn) = self.hfield.d.split_at_mut(n * n);
-        let run = |seg: &mut [Word], occ_seg: &mut [AdjWord], base_row: usize, dn: &[Word]| {
-            if swar {
-                swar::filter_member_rows(seg, occ_seg, mask, base_row, n, wpr)
-            } else {
-                filter_member_rows(seg, dn, base_row, n)
-            }
+        let square = &mut self.hfield.d[..n * n];
+        let run = |seg: &mut [Word], occ_seg: &mut [AdjWord], base_row: usize| {
+            swar::filter_member_rows(seg, occ_seg, mask, base_row, n, wpr)
         };
         let (changed, workers) = match plan_rows(par, n * n, n, n) {
-            None => (run(square, occ, 0, dn), 1),
+            None => (run(square, occ, 0), 1),
             Some(rows_per) => {
                 let count = n.div_ceil(rows_per);
                 let slots = chunk_slots(&mut self.chunks, count, None);
-                let dn = &dn[..];
                 square
                     .par_chunks_mut(rows_per * n)
                     .zip(occ.par_chunks_mut(rows_per * wpr))
                     .zip(slots.par_iter_mut())
                     .enumerate()
                     .for_each(|(ci, ((seg, occ_seg), acc))| {
-                        acc.changed = run(seg, occ_seg, ci * rows_per, dn);
+                        acc.changed = run(seg, occ_seg, ci * rows_per);
                     });
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
@@ -897,13 +860,8 @@ impl FusedExecutor {
     fn copy_and_save_t(&mut self, par: Option<ParPolicy>) -> KernelReport {
         let n = self.n;
         let (square, dn) = self.hfield.d.split_at_mut(n * n);
-        let run: fn(&mut [Word], &mut [Word], usize) -> usize = if self.swar {
-            swar::copy_save_rows
-        } else {
-            copy_save_rows
-        };
         let (changed, workers) = match plan_rows(par, n * n, n, n) {
-            None => (run(square, dn, n), 1),
+            None => (swar::copy_save_rows(square, dn, n), 1),
             Some(rows_per) => {
                 let count = n.div_ceil(rows_per);
                 let slots = chunk_slots(&mut self.chunks, count, None);
@@ -911,7 +869,7 @@ impl FusedExecutor {
                     .par_chunks_mut(rows_per * n)
                     .zip(dn[..n].par_chunks_mut(rows_per))
                     .zip(slots.par_iter_mut())
-                    .for_each(|((seg, dns), acc)| acc.changed = run(seg, dns, n));
+                    .for_each(|((seg, dns), acc)| acc.changed = swar::copy_save_rows(seg, dns, n));
                 (slots.iter().map(|c| c.changed).sum(), count)
             }
         };
@@ -1090,13 +1048,13 @@ impl FusedExecutor {
 }
 
 // ---------------------------------------------------------------------------
-// Row-range kernel bodies. Each operates on a contiguous slice of whole
-// rows; the sequential path passes the full range, the parallel path
-// disjoint `par_chunks_mut` partitions. Identical per-cell code on both
-// paths is what makes the bit-identity guarantee hold by construction.
-// Public as verification surface: these free functions ARE the scalar
-// reference semantics `gca-analysis`'s lane verifier checks the SWAR
-// bodies of `crate::swar` against, lane by lane (DESIGN.md §15).
+// Scalar row-range bodies. Each operates on a contiguous slice of whole
+// rows. Resolve, pointer jump and final-min have no SWAR twin: the
+// executor runs them directly, over the full range or disjoint
+// `par_chunks_mut` partitions. The others are not executed; they are
+// public as verification surface — the scalar reference semantics
+// `gca-analysis`'s lane verifier checks the SWAR bodies of `crate::swar`
+// against, lane by lane (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
 /// `d ← base_row + local_row` over whole rows (generation 0).
@@ -1318,6 +1276,12 @@ mod tests {
     }
 
     #[test]
+    fn retired_fused_name_is_sequential_fused_swar() {
+        assert_eq!(ExecPath::Fused, ExecPath::fused_swar());
+        assert_eq!(ExecPath::Fused, ExecPath::FusedSwar(FusedSwar::default()));
+    }
+
+    #[test]
     fn plan_clamps_auto_chunks_to_amortized_size() {
         let auto = ParPolicy {
             workers: 8,
@@ -1332,21 +1296,22 @@ mod tests {
     }
 
     #[test]
-    fn swar_kernels_match_scalar_on_multiword_rows() {
+    fn swar_kernels_match_reference_rule_on_multiword_rows() {
         // n = 70 exercises wpr = 2 adjacency words per row plus a zero
-        // tail — geometry the n ≤ 64 property corpus cannot reach.
+        // tail — geometry the n ≤ 64 property corpus cannot reach. The
+        // reference is the generic engine stepping `HirschbergRule`.
         let n = 70usize;
         let g = gca_graphs::generators::gnp(n, 0.13, 99);
         let layout = crate::Layout::new(n).unwrap();
-        let field = layout.build_field(&g).unwrap();
+        let mut field = layout.build_field(&g).unwrap();
+        let rule = crate::HirschbergRule::new(n);
+        let mut engine = gca_engine::Engine::sequential()
+            .with_instrumentation(gca_engine::Instrumentation::Counts);
 
-        let mut scalar = FusedExecutor::new(n);
-        let mut swar_exec = FusedExecutor::new(n);
-        swar_exec.set_swar(true);
-        scalar.load(&field);
-        swar_exec.load(&field);
+        let mut exec = FusedExecutor::new(n);
+        exec.load(&field);
 
-        for (generation, &(phase, sub)) in [
+        for &(phase, sub) in &[
             (Gen::Init, 0u32),
             (Gen::BroadcastC, 0),
             (Gen::FilterNeighbors, 0),
@@ -1362,26 +1327,21 @@ mod tests {
             (Gen::CopyAndSaveT, 0),
             (Gen::PointerJump, 0),
             (Gen::FinalMin, 0),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let ctx = StepCtx {
-                generation: generation as u64,
-                phase: phase.number(),
-                subgeneration: sub,
-            };
-            let a = scalar.step(&ctx, true, None).unwrap();
-            let b = swar_exec.step(&ctx, true, None).unwrap();
-            assert_eq!(scalar.hfield.d, swar_exec.hfield.d, "{phase:?}/{sub} plane");
-            assert_eq!(a.active, b.active, "{phase:?}/{sub} active");
-            assert_eq!(a.reads, b.reads, "{phase:?}/{sub} reads");
-            assert_eq!(a.changed, b.changed, "{phase:?}/{sub} changed");
-            assert_eq!(a.footprint, b.footprint, "{phase:?}/{sub} footprint");
-            let (mut pa, mut pb) = (Vec::new(), Vec::new());
-            scalar.write_reads(a.footprint, &mut pa);
-            swar_exec.write_reads(b.footprint, &mut pb);
-            assert_eq!(pa, pb, "{phase:?}/{sub} hist");
+        ] {
+            let want = engine.step(&mut field, &rule, phase.number(), sub).unwrap();
+            let got = exec.step(&want.ctx, true, None).unwrap();
+            let plane: Vec<Word> = field.states().iter().map(|c| c.d).collect();
+            assert_eq!(exec.hfield.d, plane, "{phase:?}/{sub} plane");
+            assert_eq!(got.active, want.active_cells, "{phase:?}/{sub} active");
+            assert_eq!(got.reads, want.total_reads, "{phase:?}/{sub} reads");
+            assert_eq!(got.changed, want.changed_cells, "{phase:?}/{sub} changed");
+            let mut reads = Vec::new();
+            exec.write_reads(got.footprint, &mut reads);
+            assert_eq!(
+                reads,
+                want.congestion.unwrap().into_reads(),
+                "{phase:?}/{sub} hist"
+            );
         }
     }
 
@@ -1405,7 +1365,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         for n in [1usize, 2, 3, 5, 63, 64, 65, 100, 128] {
             let mut exec = FusedExecutor::new(n);
-            exec.set_swar(true);
             for (generation, (gen, sub)) in crate::iteration_schedule(n).into_iter().enumerate() {
                 if matches!(gen, Gen::PointerJump | Gen::FinalMin) {
                     // Chases read through arbitrary column-0 labels.

@@ -30,8 +30,8 @@
 //!   yourself; used by the figure/table binaries);
 //! * [`HirschbergGca`] — configurable runner (backend, instrumentation,
 //!   early exit, execution path);
-//! * [`kernels`] — fused flat-array kernels ([`ExecPath::Fused`]), metrics-
-//!   identical to the generic engine path;
+//! * [`kernels`] — fused flat-array kernels ([`ExecPath::FusedSwar`]),
+//!   metrics-identical to the generic engine path;
 //! * [`batch`] — the batched multi-graph runner (aggregate graphs/sec);
 //! * [`variants`] — the design-space variants the paper discusses: an
 //!   `n`-cell machine (§3's "decide between n and n² cells") and a

@@ -12,17 +12,16 @@
 //! instrumentation) a metrics log bit-identical to an undisturbed run.
 //!
 //! [`SupervisedMachine`] also carries the **degradation ladder**: the
-//! three execution paths are bit-identical in labels and `Counts`
+//! two execution paths are bit-identical in labels and `Counts`
 //! metrics (a property the test suite and the differential replay
-//! harness enforce), so when a rung keeps diverging the supervisor can
-//! step down
+//! harness enforce), so when the fast rung keeps diverging the
+//! supervisor can step down
 //!
 //! ```text
-//! fused-swar → fused → generic
+//! fused-swar → generic
 //! ```
 //!
-//! and re-execute the faulted span on a less-optimized but
-//! semantically identical path. A sticky fault bound to an upper rung
+//! and re-execute the faulted span on the reference path. A sticky fault bound to an upper rung
 //! (see [`gca_engine::faults::Persistence::Sticky`]) stops firing once
 //! the ladder drops below its level — the model of a fault living in
 //! an optimized kernel's own machinery.
@@ -37,18 +36,16 @@ use gca_graphs::{AdjacencyMatrix, Labeling};
 pub fn rung_name(exec: ExecPath) -> &'static str {
     match exec {
         ExecPath::Generic => "generic",
-        ExecPath::Fused => "fused",
         ExecPath::FusedSwar(_) => "fused-swar",
     }
 }
 
 /// The rung one below `exec` on the degradation ladder, or `None` at
-/// the bottom. A SWAR configuration degrades to the sequential fused
-/// path whether or not it was row-partitioned.
+/// the bottom. A SWAR configuration degrades to the generic path whether
+/// or not it was row-partitioned.
 pub fn degraded(exec: ExecPath) -> Option<ExecPath> {
     match exec {
-        ExecPath::FusedSwar(_) => Some(ExecPath::Fused),
-        ExecPath::Fused => Some(ExecPath::Generic),
+        ExecPath::FusedSwar(_) => Some(ExecPath::Generic),
         ExecPath::Generic => None,
     }
 }
@@ -163,14 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn ladder_walks_all_three_rungs() {
+    fn ladder_walks_both_rungs() {
         let mut exec = ExecPath::fused_swar();
         let mut names = vec![rung_name(exec)];
         while let Some(next) = degraded(exec) {
             names.push(rung_name(next));
             exec = next;
         }
-        assert_eq!(names, ["fused-swar", "fused", "generic"]);
+        assert_eq!(names, ["fused-swar", "generic"]);
     }
 
     #[test]
@@ -191,11 +188,12 @@ mod tests {
         let expected = union_find_components_dense(&g);
         // A clean run's metrics are the bit-identity reference.
         let mut clean =
-            SupervisedMachine::new(&g, validate_engine(), ExecPath::Fused).unwrap();
+            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_swar()).unwrap();
         let clean_report = Supervisor::default().run(&mut clean);
         assert!(matches!(clean_report.outcome, RecoveryOutcome::Clean));
 
-        let mut sm = SupervisedMachine::new(&g, validate_engine(), ExecPath::Fused).unwrap();
+        let mut sm =
+            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_swar()).unwrap();
         // Flip a label bit in the middle of the second iteration.
         let gens_per_iter = (clean.machine().generations() - 1) / 5;
         let target = 1 + gens_per_iter + 3;
@@ -228,7 +226,7 @@ mod tests {
         let report = Supervisor::new(RecoveryPolicy::Degrade).run(&mut sm);
         assert!(matches!(report.outcome, RecoveryOutcome::Recovered), "{report}");
         assert_eq!(report.initial_rung, "fused-swar");
-        assert_eq!(report.final_rung, "fused");
+        assert_eq!(report.final_rung, "generic");
         assert_eq!(report.degradations, 1);
         assert_eq!(sm.labels().unwrap().as_slice(), expected.as_slice());
     }
@@ -250,7 +248,8 @@ mod tests {
     #[test]
     fn fail_policy_propagates_the_detection() {
         let g = generators::path(16);
-        let mut sm = SupervisedMachine::new(&g, validate_engine(), ExecPath::Fused).unwrap();
+        let mut sm =
+            SupervisedMachine::new(&g, validate_engine(), ExecPath::fused_swar()).unwrap();
         sm.machine_mut()
             .set_fault_plan(Some(FaultPlan::new(FaultKind::BitFlip { bit: 0 }, 7, 9)));
         let report = Supervisor::new(RecoveryPolicy::Fail).run(&mut sm);

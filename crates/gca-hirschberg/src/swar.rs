@@ -2,12 +2,12 @@
 //! [`crate::kernels::ExecPath::FusedSwar`], plus the symbolic-activity
 //! generation schedule the SWAR driver consults.
 //!
-//! Every function here is a drop-in replacement for the matching `*_rows`
-//! row-range body in [`crate::kernels`]: same row-slice signature shape,
-//! same per-cell *semantics* (each cell's new value and its contribution to
-//! the `changed` counter are computed by the same rule), so labels and
-//! `Counts` metrics stay bit-identical to the scalar fused path by
-//! construction. What changes is the *iteration structure*:
+//! Every function here is the word-parallel twin of the matching scalar
+//! `*_rows` row-range body in [`crate::kernels`]: same row-slice signature
+//! shape, same per-cell *semantics* (each cell's new value and its
+//! contribution to the `changed` counter are computed by the same rule),
+//! so labels and `Counts` metrics stay bit-identical to the scalar
+//! reference — and through it to the generic engine — by construction. What changes is the *iteration structure*:
 //!
 //! * the adjacency- and membership-gated filters (generations 2 and 6) walk
 //!   the row-aligned bit-packed plane one [`AdjWord`] — [`WORD_BITS`] cells
@@ -26,7 +26,7 @@
 //! The zero-word skip is sound because the packed plane is **row-aligned**
 //! (see `hfield`): a word never spans two rows and its tail bits
 //! beyond column `n` are zero, so "word = 0" exactly means "no live cell
-//! among these `≤ WORD_BITS` cells of this row", and the scalar path would
+//! among these `≤ WORD_BITS` cells of this row", and the scalar body would
 //! have written `∞` to every one of them. The metric-identity argument is
 //! written out in DESIGN.md §14.
 //!
@@ -66,7 +66,7 @@ pub const SPARSE_BITS: u32 = 8;
 /// Three regimes per word, chosen by population count: all-zero words
 /// collapse to one count-and-fill; sparsely populated words walk their set
 /// bits and fill the gaps; dense words run a branch-free select per lane
-/// (`keep`-mask arithmetic, no data-dependent branches — the scalar fused
+/// (`keep`-mask arithmetic, no data-dependent branches — the scalar
 /// body loses ~4 ns/cell to branch mispredicts on random adjacency here).
 ///
 /// As a byproduct the filter writes the row's *occupancy word(s)* into

@@ -193,7 +193,6 @@ proptest! {
         let generic = run(ExecPath::Generic, Instrumentation::Counts);
         prop_assert_eq!(generic.labels.as_slice(), expected.as_slice());
         for exec in [
-            ExecPath::Fused,
             ExecPath::fused_swar(),
             ExecPath::FusedSwar(FusedSwar {
                 parallel: Some(FusedParallel::with_workers(2)),
@@ -233,7 +232,7 @@ proptest! {
 
 /// Execution-path identity past one packed word: at n = 65 (a one-bit
 /// second adjacency word), 100 and 130 (the first of these sizes whose
-/// field row-partitions at the default threshold) every fused path's whole
+/// field row-partitions at the default threshold) every fused-swar run's whole
 /// `Counts` metrics log equals generic's, under both convergence policies.
 /// The partitioned run forces the threshold to 0 so every kernel splits.
 #[test]
@@ -256,7 +255,6 @@ fn exec_paths_agree_on_metrics_past_one_word() {
             let generic = run(ExecPath::Generic);
             assert_eq!(generic.labels.as_slice(), expected.as_slice());
             for exec in [
-                ExecPath::Fused,
                 ExecPath::fused_swar(),
                 ExecPath::FusedSwar(FusedSwar {
                     parallel: Some(FusedParallel::with_workers(2)),

@@ -34,9 +34,8 @@ fn arb_graph(min_n: usize, max_n: usize) -> impl Strategy<Value = AdjacencyMatri
     })
 }
 
-const PATHS: [ExecPath; 4] = [
+const PATHS: [ExecPath; 3] = [
     ExecPath::Generic,
-    ExecPath::Fused,
     ExecPath::FusedSwar(FusedSwar {
         parallel: Some(FusedParallel { workers: 3 }),
     }),

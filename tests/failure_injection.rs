@@ -372,7 +372,7 @@ fn fused_replay_catches_seeded_kernel_mutation() {
         Engine::sequential().with_instrumentation(Instrumentation::Validate),
     )
     .unwrap()
-    .with_exec(ExecPath::Fused);
+    .with_exec(ExecPath::fused_swar());
     m.init().unwrap();
     m.run_iteration().unwrap();
 
@@ -382,7 +382,7 @@ fn fused_replay_catches_seeded_kernel_mutation() {
         Engine::sequential().with_instrumentation(Instrumentation::Validate),
     )
     .unwrap()
-    .with_exec(ExecPath::Fused);
+    .with_exec(ExecPath::fused_swar());
     m.init().unwrap();
     let target = 2;
     arm_fault(&mut m, &format!("bitflip@1.{target}.0"));

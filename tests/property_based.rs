@@ -381,20 +381,20 @@ fn arb_fused_graph() -> impl Strategy<Value = AdjacencyMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The fused execution path is bit-identical to the generic path: same
+    /// The fused-swar execution path is bit-identical to the generic path: same
     /// labelings and same `Counts` metrics (active cells, total reads,
     /// congestion histograms, generation contexts) on every workload of
     /// [`arb_fused_graph`].
     #[test]
     fn fused_equals_generic(g in arb_fused_graph()) {
         let generic = HirschbergGca::new().run(&g).unwrap();
-        let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
+        let fused = HirschbergGca::new().exec(ExecPath::fused_swar()).run(&g).unwrap();
         prop_assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
         prop_assert_eq!(fused.generations, generic.generations);
         prop_assert_eq!(fused.metrics.entries(), generic.metrics.entries());
     }
 
-    /// The same equivalence holds under convergence detection: the fused
+    /// The same equivalence holds under convergence detection: the fused-swar
     /// pointer-jump sequence stops on exactly the same sub-generation, so
     /// generation counts and metrics logs still match entry for entry.
     #[test]
@@ -405,7 +405,7 @@ proptest! {
             .unwrap();
         let fused = HirschbergGca::new()
             .convergence(Convergence::Detect)
-            .exec(ExecPath::Fused)
+            .exec(ExecPath::fused_swar())
             .run(&g)
             .unwrap();
         prop_assert_eq!(fused.labels.as_slice(), generic.labels.as_slice());
@@ -414,7 +414,7 @@ proptest! {
     }
 
     /// The row-partitioned SWAR path is bit-identical to BOTH the
-    /// sequential fused path and the generic path — labels, generation
+    /// sequential SWAR path and the generic path — labels, generation
     /// counts and `Counts` metrics entry for entry — for every worker count
     /// in a small sweep. A zero engine threshold forces the partitioned
     /// drivers even on these small fields (the auto-fallback would
@@ -422,7 +422,7 @@ proptest! {
     #[test]
     fn parallel_fused_equals_fused_and_generic(g in arb_fused_graph()) {
         let generic = HirschbergGca::new().run(&g).unwrap();
-        let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
+        let fused = HirschbergGca::new().exec(ExecPath::fused_swar()).run(&g).unwrap();
         for workers in [2usize, 3, 7] {
             let par = HirschbergGca::new()
                 .with_engine(eager_par_engine())
@@ -463,7 +463,7 @@ proptest! {
 #[test]
 fn parallel_fused_bit_identical_at_n256() {
     let g = generators::gnp(256, 0.3, 2007);
-    let fused = HirschbergGca::new().exec(ExecPath::Fused).run(&g).unwrap();
+    let fused = HirschbergGca::new().exec(ExecPath::fused_swar()).run(&g).unwrap();
     for workers in [0usize, 2, 3, 7] {
         let par = HirschbergGca::new().exec(swar_par(workers)).run(&g).unwrap();
         assert_eq!(par.labels.as_slice(), fused.labels.as_slice(), "workers={workers}");
