@@ -82,7 +82,7 @@ fn main() {
                     format!("{:?}", t.generation),
                     t.subgeneration.to_string(),
                     format!("{:.0}", t.generic_ns_per_step.median),
-                    format!("{:.0}", t.swar_ns_per_step.median),
+                    format!("{:.0}", t.fused_swar_ns_per_step.median),
                     format!("{:.2}x", t.speedup()),
                     t.metrics_identical.to_string(),
                 ]);
@@ -92,7 +92,7 @@ fn main() {
                     "generation": t.generation.number(),
                     "subgeneration": t.subgeneration,
                     "generic_ns_per_step": t.generic_ns_per_step.json(),
-                    "swar_ns_per_step": t.swar_ns_per_step.json(),
+                    "fused_swar_ns_per_step": t.fused_swar_ns_per_step.json(),
                     "speedup": t.speedup(),
                     "metrics_identical": t.metrics_identical,
                 }));
@@ -128,7 +128,7 @@ fn main() {
                     w.label().to_string(),
                     t.instrumentation.to_string(),
                     format!("{:.2}", t.generic_ms),
-                    format!("{:.2}", t.swar_ms),
+                    format!("{:.2}", t.fused_swar_ms),
                     format!("{:.2}x", t.speedup()),
                     (t.metrics_identical && t.labels_match_union_find).to_string(),
                 ]);
@@ -137,7 +137,7 @@ fn main() {
                     "workload": w.key(),
                     "instrumentation": t.instrumentation,
                     "generic_ms": t.generic_ms,
-                    "swar_ms": t.swar_ms,
+                    "fused_swar_ms": t.fused_swar_ms,
                     "speedup": t.speedup(),
                     "labels_match_union_find": t.labels_match_union_find,
                     "metrics_identical": t.metrics_identical,

@@ -54,7 +54,10 @@ fn main() {
         "batched throughput: {batch} × gnp({n}, 0.3), {max_workers} hardware threads"
     );
     let mut table = Table::new(["exec", "workers", "graphs/sec", "ms/batch", "scaling"]);
-    for (exec, name) in [(ExecPath::fused_swar(), "fused-swar"), (ExecPath::Generic, "generic")] {
+    for (exec, name) in [
+        (ExecPath::fused_swar(), "fused-swar"),
+        (ExecPath::Generic, "generic"),
+    ] {
         let mut base: Option<f64> = None;
         for workers in worker_sweep(max_workers) {
             let runner = BatchRunner::new().exec(exec).workers(workers);

@@ -136,7 +136,7 @@ pub struct SwarGenTiming {
     /// Per-step statistics, generic reference path.
     pub generic_ns_per_step: NsPerStep,
     /// Per-step statistics, SWAR bodies (single-thread).
-    pub swar_ns_per_step: NsPerStep,
+    pub fused_swar_ns_per_step: NsPerStep,
     /// Whether active cells, reads, changed cells and the congestion
     /// histogram were bit-identical between the two paths.
     pub metrics_identical: bool,
@@ -145,7 +145,7 @@ pub struct SwarGenTiming {
 impl SwarGenTiming {
     /// Generic median time over SWAR median time.
     pub fn speedup(&self) -> f64 {
-        self.generic_ns_per_step.median / self.swar_ns_per_step.median
+        self.generic_ns_per_step.median / self.fused_swar_ns_per_step.median
     }
 }
 
@@ -202,7 +202,7 @@ pub fn time_generation(
         generation: gen,
         subgeneration: sub,
         generic_ns_per_step: generic_ns,
-        swar_ns_per_step: swar_ns,
+        fused_swar_ns_per_step: swar_ns,
         metrics_identical,
     })
 }
@@ -219,7 +219,7 @@ pub struct SwarRunTiming {
     /// Milliseconds for the generic run.
     pub generic_ms: f64,
     /// Milliseconds for the SWAR run (single-thread).
-    pub swar_ms: f64,
+    pub fused_swar_ms: f64,
     /// Whether both runs matched the union-find ground truth.
     pub labels_match_union_find: bool,
     /// Whether the per-generation metrics logs were bit-identical
@@ -231,7 +231,7 @@ pub struct SwarRunTiming {
 impl SwarRunTiming {
     /// Generic time over SWAR time.
     pub fn speedup(&self) -> f64 {
-        self.generic_ms / self.swar_ms
+        self.generic_ms / self.fused_swar_ms
     }
 }
 
@@ -282,12 +282,12 @@ pub fn time_full_runs(
     // check below reads, so no Option/expect dance is needed for "at least
     // one run happened".
     let (mut generic_ms, mut generic) = timed_run(&graph, ExecPath::Generic, instrumentation)?;
-    let (mut swar_ms, mut swar) = timed_run(&graph, ExecPath::fused_swar(), instrumentation)?;
+    let (mut fused_swar_ms, mut swar) = timed_run(&graph, ExecPath::fused_swar(), instrumentation)?;
     for _ in 1..runs {
         let (g_ms, g_machine) = timed_run(&graph, ExecPath::Generic, instrumentation)?;
         let (w_ms, w_machine) = timed_run(&graph, ExecPath::fused_swar(), instrumentation)?;
         generic_ms = generic_ms.min(g_ms);
-        swar_ms = swar_ms.min(w_ms);
+        fused_swar_ms = fused_swar_ms.min(w_ms);
         (generic, swar) = (g_machine, w_machine);
     }
     let labels_match_union_find = [generic.labels()?, swar.labels()?]
@@ -303,7 +303,7 @@ pub fn time_full_runs(
             Instrumentation::Validate => "validate",
         },
         generic_ms,
-        swar_ms,
+        fused_swar_ms,
         labels_match_union_find,
         metrics_identical: generic.metrics().entries() == swar.metrics().entries(),
     })
@@ -323,8 +323,10 @@ mod tests {
             for (gen, sub) in kernel_generations() {
                 let t = time_generation(TEST_N, w, gen, sub, 2).unwrap();
                 assert!(t.metrics_identical, "{gen:?} sub {sub} workload {w:?}");
-                assert!(t.generic_ns_per_step.median > 0.0 && t.swar_ns_per_step.median > 0.0);
-                assert!(t.swar_ns_per_step.min <= t.swar_ns_per_step.max);
+                assert!(
+                    t.generic_ns_per_step.median > 0.0 && t.fused_swar_ns_per_step.median > 0.0
+                );
+                assert!(t.fused_swar_ns_per_step.min <= t.fused_swar_ns_per_step.max);
             }
         }
     }

@@ -66,7 +66,7 @@ pub struct Machine {
     initialized: bool,
     /// The symbolic-activity schedule the [`ExecPath::FusedSwar`] driver
     /// consults (`None` → the structural schedule, which never skips).
-    swar_schedule: Option<SwarSchedule>,
+    schedule: Option<SwarSchedule>,
     /// The differential harness armed by [`Instrumentation::Validate`] on
     /// the fused path: a shadow field replayed through the reference engine
     /// (itself running the CROW sanitizer) after every fused generation.
@@ -132,7 +132,7 @@ impl Machine {
             fused: FusedExecutor::new(graph.n()),
             soa_valid: false,
             initialized: false,
-            swar_schedule: None,
+            schedule: None,
             validator: None,
             inv: None,
             inv_fault: None,
@@ -163,7 +163,7 @@ impl Machine {
     /// structural one. No effect on the other execution paths.
     #[must_use]
     pub fn with_swar_schedule(mut self, schedule: SwarSchedule) -> Self {
-        self.swar_schedule = Some(schedule);
+        self.schedule = Some(schedule);
         self
     }
 
@@ -774,8 +774,8 @@ impl Machine {
     /// The schedule the [`ExecPath::FusedSwar`] driver consults. An
     /// installed schedule derived for a different `n` falls back to the
     /// structural one.
-    fn swar_bounds(&self) -> SwarSchedule {
-        self.swar_schedule
+    fn schedule_bounds(&self) -> SwarSchedule {
+        self.schedule
             .filter(|sc| sc.n() == self.n())
             .unwrap_or_else(|| SwarSchedule::structural(self.n()))
     }
@@ -787,7 +787,7 @@ impl Machine {
     /// assertion cross-checks the symbolic claim against the dynamic
     /// counters (zero activity for the tree reductions, zero changed cells
     /// for a clamped pointer jump). Returns `None` when skipped.
-    fn swar_gated_tick(
+    fn gated_tick(
         &mut self,
         sched: SwarSchedule,
         gen: Gen,
@@ -863,7 +863,7 @@ impl Machine {
 
     fn run_iteration_fused_inner(&mut self) -> Result<u64, GcaError> {
         let subgens = ceil_log2(self.n());
-        let sched = self.swar_bounds();
+        let sched = self.schedule_bounds();
         let fuse_bf = self.fuse_broadcast_filter();
         let mut executed = 0u64;
         if fuse_bf {
@@ -876,7 +876,7 @@ impl Machine {
             }
         }
         for s in 0..subgens {
-            self.swar_gated_tick(sched, Gen::MinReduce, s, &mut executed)?;
+            self.gated_tick(sched, Gen::MinReduce, s, &mut executed)?;
         }
         self.fused_tick(Gen::ResolveIsolated, 0)?;
         executed += 1;
@@ -890,7 +890,7 @@ impl Machine {
             }
         }
         for s in 0..subgens {
-            self.swar_gated_tick(sched, Gen::MinReduceMembers, s, &mut executed)?;
+            self.gated_tick(sched, Gen::MinReduceMembers, s, &mut executed)?;
         }
         for gen in [Gen::ResolveMembers, Gen::CopyAndSaveT] {
             self.fused_tick(gen, 0)?;
@@ -903,7 +903,7 @@ impl Machine {
             // plan needs every generation to exist as an injection site),
             // so both take the gather/jump/scatter-per-sub-generation path.
             for s in 0..subgens {
-                let rep = self.swar_gated_tick(sched, Gen::PointerJump, s, &mut executed)?;
+                let rep = self.gated_tick(sched, Gen::PointerJump, s, &mut executed)?;
                 if let Some(rep) = rep {
                     if self.convergence == Convergence::Detect && rep.changed == 0 {
                         break;
@@ -1066,7 +1066,7 @@ pub struct HirschbergGca {
     early_exit: bool,
     convergence: Convergence,
     exec: ExecPath,
-    swar_schedule: Option<SwarSchedule>,
+    schedule: Option<SwarSchedule>,
 }
 
 impl HirschbergGca {
@@ -1079,7 +1079,7 @@ impl HirschbergGca {
             early_exit: false,
             convergence: Convergence::Fixed,
             exec: ExecPath::Generic,
-            swar_schedule: None,
+            schedule: None,
         }
     }
 
@@ -1111,7 +1111,7 @@ impl HirschbergGca {
     /// no effect on the other execution paths.
     #[must_use]
     pub fn with_swar_schedule(mut self, schedule: SwarSchedule) -> Self {
-        self.swar_schedule = Some(schedule);
+        self.schedule = Some(schedule);
         self
     }
 
@@ -1140,7 +1140,7 @@ impl HirschbergGca {
         let mut machine = Machine::with_engine(graph, self.engine.clone())?
             .with_convergence(self.convergence)
             .with_exec(self.exec);
-        if let Some(sched) = self.swar_schedule {
+        if let Some(sched) = self.schedule {
             machine = machine.with_swar_schedule(sched);
         }
         machine.init()?;
@@ -1167,7 +1167,7 @@ impl HirschbergGca {
         let generations = machine.generations();
         if !self.early_exit
             && self.convergence == Convergence::Fixed
-            && self.swar_schedule.is_none_or(|sc| sc.is_structural())
+            && self.schedule.is_none_or(|sc| sc.is_structural())
         {
             // A truncated SWAR schedule legitimately executes fewer
             // generations than the closed form; every other configuration

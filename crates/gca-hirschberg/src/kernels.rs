@@ -605,7 +605,10 @@ impl FusedExecutor {
         let rows = if include_dn { n + 1 } else { n };
         let touched = rows * n;
         let (changed, workers) = match plan_rows(par, touched, rows, n) {
-            None => (swar::broadcast_rows(&mut self.hfield.d[..touched], &self.labels), 1),
+            None => (
+                swar::broadcast_rows(&mut self.hfield.d[..touched], &self.labels),
+                1,
+            ),
             Some(rows_per) => {
                 let count = rows.div_ceil(rows_per);
                 let slots = chunk_slots(&mut self.chunks, count, None);
